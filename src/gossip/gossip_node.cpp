@@ -23,18 +23,55 @@ std::string PullDigest::describe() const {
     return oss.str();
 }
 
+namespace {
+
+/// The simulator host: tasks queue on the node's serial CPU, timers on the
+/// simulator, and sends are charged to the running task.
+class NodePort final : public GossipPort {
+public:
+    explicit NodePort(Node& node) : node_(node) {}
+
+    ProcessId self() const override { return node_.id(); }
+    SimTime now() const override { return node_.simulator().now(); }
+    void post(Task task) override { node_.post(std::move(task)); }
+    void after(SimTime delay, std::function<void()> fn) override {
+        node_.simulator().schedule_after(delay, std::move(fn));
+    }
+    bool send(ProcessId peer, BodyPtr body, CpuContext& ctx) override {
+        node_.transmit_in_task(NetMessage{node_.id(), peer, std::move(body)}, ctx);
+        return true;
+    }
+
+private:
+    Node& node_;
+};
+
+}  // namespace
+
 GossipNode::GossipNode(Node& node, std::vector<ProcessId> peers, Params params,
                        GossipHooks& hooks)
-    : node_(node),
+    : GossipNode(std::make_unique<NodePort>(node), std::move(peers), params, hooks) {
+    node.set_receive_handler([this](const NetMessage& msg, CpuContext& ctx) {
+        if (!msg.body) return;
+        const bool reversed = receive(msg.from, *msg.body, ctx);
+        // G-AGG-1 (receive side): every aggregate in a simulation was built
+        // by the same hooks that must reverse it before delivery.
+        GC_INVARIANT(reversed, "aggregated gossip message from node %d was not reversed at node %d",
+                     msg.from, self_);
+    });
+}
+
+GossipNode::GossipNode(std::unique_ptr<GossipPort> port, std::vector<ProcessId> peers,
+                       Params params, GossipHooks& hooks)
+    : port_(std::move(port)),
+      self_(port_->self()),
       peers_(std::move(peers)),
       params_(params),
       hooks_(hooks),
       seen_(params.seen_cache_capacity),
-      rng_(Rng::derive(params.seed, 0x60551ULL ^ static_cast<std::uint64_t>(node.id()))),
+      rng_(Rng::derive(params.seed, 0x60551ULL ^ static_cast<std::uint64_t>(self_))),
       queues_(peers_.size()),
       peer_active_(peers_.size(), true) {
-    node_.set_receive_handler(
-        [this](const NetMessage& msg, CpuContext& ctx) { on_net_receive(msg, ctx); });
     if (params_.strategy != GossipStrategy::Push && !peers_.empty()) {
         schedule_pull_round();
     }
@@ -46,12 +83,12 @@ void GossipNode::broadcast(GossipAppMessage msg, CpuContext& ctx) {
     // broadcasts one (it could not interpret it on delivery either).
     GC_INVARIANT(!msg.aggregated,
                  "aggregated gossip message %016llx entered the broadcast path at node %d",
-                 static_cast<unsigned long long>(msg.id), node_.id());
+                 static_cast<unsigned long long>(msg.id), self_);
     ++counters_.broadcasts;
     if (!seen_.insert_if_new(msg.id)) return;  // re-broadcast of a known id
     if (tracer_) {
-        tracer_->record(ctx.now(), trace::Stage::Originate, node_.id(), -1, msg);
-        tracer_->record(ctx.now(), trace::Stage::Deliver, node_.id(), -1, msg);
+        tracer_->record(ctx.now(), trace::Stage::Originate, self_, -1, msg);
+        tracer_->record(ctx.now(), trace::Stage::Deliver, self_, -1, msg);
     }
     remember(msg);
     ++counters_.delivered;
@@ -66,54 +103,51 @@ void GossipNode::broadcast(GossipAppMessage msg, CpuContext& ctx) {
 }
 
 void GossipNode::post_broadcast(GossipAppMessage msg) {
-    node_.post([this, msg = std::move(msg)](CpuContext& ctx) { broadcast(msg, ctx); });
+    port_->post([this, msg = std::move(msg)](CpuContext& ctx) { broadcast(msg, ctx); });
 }
 
-void GossipNode::on_net_receive(const NetMessage& net_msg, CpuContext& ctx) {
-    if (!net_msg.body) return;
-    if (net_msg.body->kind() == BodyKind::PullDigest) {
-        serve_digest(static_cast<const PullDigest&>(*net_msg.body), net_msg.from, ctx);
-        return;
+bool GossipNode::receive(ProcessId from, const MessageBody& body, CpuContext& ctx) {
+    if (body.kind() == BodyKind::PullDigest) {
+        serve_digest(static_cast<const PullDigest&>(body), from, ctx);
+        return true;
     }
-    if (net_msg.body->kind() != BodyKind::GossipEnvelope) return;  // not for us
+    if (body.kind() != BodyKind::GossipEnvelope) return true;  // not for us
     ++counters_.envelopes_received;
-    const GossipAppMessage& wire_msg =
-        static_cast<const GossipEnvelope&>(*net_msg.body).message();
+    const GossipAppMessage& wire_msg = static_cast<const GossipEnvelope&>(body).message();
     if (wire_msg.aggregated) {
         // Reversible aggregation: reconstruct the original messages and
-        // process each as a regular message.
+        // process each as a regular message. Hooks return an aggregate they
+        // do not know unchanged; it must not reach the delivery path.
         std::vector<GossipAppMessage> originals = hooks_.disaggregate(wire_msg);
+        for (const auto& m : originals) {
+            if (m.aggregated) return false;
+        }
         for (auto& m : originals) {
             m.hops = wire_msg.hops;  // the originals travelled as the aggregate
             ++counters_.messages_received;
             if (tracer_) {
-                tracer_->record(ctx.now(), trace::Stage::Disaggregate, node_.id(),
-                                net_msg.from, m);
+                tracer_->record(ctx.now(), trace::Stage::Disaggregate, self_, from, m);
             }
-            accept(m, net_msg.from, ctx);
+            accept(m, from, ctx);
         }
     } else {
         ++counters_.messages_received;
-        accept(wire_msg, net_msg.from, ctx);
+        accept(wire_msg, from, ctx);
     }
+    return true;
 }
 
 void GossipNode::accept(const GossipAppMessage& msg, ProcessId received_from, CpuContext& ctx) {
-    // G-AGG-1 (receive side): disaggregation must have reversed the
-    // aggregation rule before a message reaches the delivery path.
-    GC_INVARIANT(!msg.aggregated,
-                 "aggregated gossip message %016llx reached the delivery path at node %d",
-                 static_cast<unsigned long long>(msg.id), node_.id());
-    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Receive, node_.id(), received_from, msg);
+    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Receive, self_, received_from, msg);
     if (!seen_.insert_if_new(msg.id)) {
         ++counters_.duplicates;
         if (tracer_) {
-            tracer_->record(ctx.now(), trace::Stage::DuplicateDrop, node_.id(),
-                            received_from, msg);
+            tracer_->record(ctx.now(), trace::Stage::DuplicateDrop, self_, received_from,
+                            msg);
         }
         return;
     }
-    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Deliver, node_.id(), -1, msg);
+    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Deliver, self_, -1, msg);
     remember(msg);
     ++counters_.delivered;
     hooks_.on_deliver(msg);
@@ -208,20 +242,19 @@ void GossipNode::forward(const GossipAppMessage& msg, ProcessId exclude) {
         if (q.pending.size() >= params_.peer_queue_cap) {
             ++counters_.send_queue_drops;
             if (tracer_) {
-                tracer_->record(node_.simulator().now(), trace::Stage::QueueDrop,
-                                node_.id(), peers_[i], msg);
+                tracer_->record(port_->now(), trace::Stage::QueueDrop, self_, peers_[i], msg);
             }
             continue;
         }
-        if (q.pending.empty()) q.oldest_enqueued = node_.simulator().now();
+        if (q.pending.empty()) q.oldest_enqueued = port_->now();
         q.pending.push_back(msg);
         if (!q.drain_scheduled) {
             q.drain_scheduled = true;
-            node_.post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
+            port_->post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
         } else if (params_.batch_size > 1 && q.pending.size() >= params_.batch_size) {
             // The queue filled while a batching deadline was pending: drain
             // now (the deadline drain finds an empty queue and is a no-op).
-            node_.post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
+            port_->post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
         }
     }
 }
@@ -239,8 +272,8 @@ void GossipNode::drain_peer(std::size_t peer_idx, CpuContext& ctx) {
         const SimTime deadline = q.oldest_enqueued + params_.batch_delay;
         if (ctx.now() < deadline) {
             q.drain_scheduled = true;
-            node_.simulator().schedule_at(deadline, [this, peer_idx] {
-                node_.post([this, peer_idx](CpuContext& c) { drain_peer(peer_idx, c); });
+            port_->after(deadline - port_->now(), [this, peer_idx] {
+                port_->post([this, peer_idx](CpuContext& c) { drain_peer(peer_idx, c); });
             });
             return;
         }
@@ -271,17 +304,17 @@ void GossipNode::trace_aggregation(const std::vector<GossipAppMessage>& inputs,
     for (const auto& o : outputs) out_ids.insert(o.id);
     std::unordered_set<GossipMsgId> in_ids;
     std::uint16_t merged_hops = 0;
-    const SimTime now = node_.simulator().now();
+    const SimTime now = port_->now();
     for (const auto& in : inputs) {
         in_ids.insert(in.id);
         if (out_ids.contains(in.id)) continue;
         merged_hops = std::max(merged_hops, in.hops);
-        tracer_->record(now, trace::Stage::Aggregate, node_.id(), peer, in);
+        tracer_->record(now, trace::Stage::Aggregate, self_, peer, in);
     }
     for (auto& out : outputs) {
         if (in_ids.contains(out.id)) continue;
         out.hops = merged_hops;  // an aggregate inherits its farthest-travelled input
-        tracer_->record(now, trace::Stage::AggregateBuilt, node_.id(), peer, out);
+        tracer_->record(now, trace::Stage::AggregateBuilt, self_, peer, out);
     }
 }
 
@@ -289,19 +322,20 @@ void GossipNode::send_to_peer(const GossipAppMessage& msg, ProcessId peer, CpuCo
     ctx.consume(params_.validate_cost);
     if (!hooks_.validate(msg, peer)) {
         ++counters_.filtered;
-        if (tracer_) tracer_->record(ctx.now(), trace::Stage::FilterDrop, node_.id(), peer, msg);
+        if (tracer_) tracer_->record(ctx.now(), trace::Stage::FilterDrop, self_, peer, msg);
         return;
     }
-    ++counters_.envelopes_sent;
-    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, node_.id(), peer, msg);
+    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, self_, peer, msg);
     GossipAppMessage out = msg;
     ++out.hops;
-    node_.transmit_in_task(
-        NetMessage{node_.id(), peer, std::make_shared<GossipEnvelope>(std::move(out))}, ctx);
+    if (port_->send(peer, std::make_shared<GossipEnvelope>(std::move(out)), ctx)) {
+        ++counters_.envelopes_sent;
+    }
 }
 
 void GossipNode::remember(const GossipAppMessage& msg) {
-    if (params_.store_capacity == 0) return;
+    // Only pull rounds read the store; under Push it would be dead weight.
+    if (params_.strategy == GossipStrategy::Push || params_.store_capacity == 0) return;
     store_.push_back(msg);
     if (store_.size() > params_.store_capacity) store_.pop_front();
 }
@@ -310,8 +344,8 @@ void GossipNode::schedule_pull_round() {
     // Jitter the period slightly so rounds of different nodes interleave.
     const auto base = params_.pull_interval.as_nanos();
     const auto jitter = rng_.uniform_int(-base / 8, base / 8);
-    node_.simulator().schedule_after(SimTime::nanos(base + jitter), [this] {
-        node_.post([this](CpuContext& ctx) { run_pull_round(ctx); });
+    port_->after(SimTime::nanos(base + jitter), [this] {
+        port_->post([this](CpuContext& ctx) { run_pull_round(ctx); });
         schedule_pull_round();
     });
 }
@@ -334,8 +368,7 @@ void GossipNode::run_pull_round(CpuContext& ctx) {
     for (std::size_t i = store_.size() - count; i < store_.size(); ++i) {
         ids.push_back(store_[i].id);
     }
-    node_.transmit_in_task(
-        NetMessage{node_.id(), peers_[idx], std::make_shared<PullDigest>(std::move(ids))}, ctx);
+    port_->send(peers_[idx], std::make_shared<PullDigest>(std::move(ids)), ctx);
 }
 
 void GossipNode::serve_digest(const PullDigest& digest, ProcessId requester, CpuContext& ctx) {
@@ -346,18 +379,17 @@ void GossipNode::serve_digest(const PullDigest& digest, ProcessId requester, Cpu
         if (!hooks_.validate(m, requester)) {
             ++counters_.filtered;
             if (tracer_) {
-                tracer_->record(ctx.now(), trace::Stage::FilterDrop, node_.id(), requester, m);
+                tracer_->record(ctx.now(), trace::Stage::FilterDrop, self_, requester, m);
             }
             continue;
         }
         ++counters_.pull_served;
-        ++counters_.envelopes_sent;
-        if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, node_.id(), requester, m);
+        if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, self_, requester, m);
         GossipAppMessage out = m;
         ++out.hops;
-        node_.transmit_in_task(
-            NetMessage{node_.id(), requester, std::make_shared<GossipEnvelope>(std::move(out))},
-            ctx);
+        if (port_->send(requester, std::make_shared<GossipEnvelope>(std::move(out)), ctx)) {
+            ++counters_.envelopes_sent;
+        }
     }
 }
 

@@ -10,6 +10,11 @@
 // Pull and push-pull dissemination (anti-entropy rounds exchanging digests of
 // recently seen messages) are provided as extensions — the paper adopts push
 // but notes the techniques extend to other strategies.
+//
+// This is the only gossip pipeline: the engine reaches its host through a
+// GossipPort, which the simulator implements over a Node (its CPU and the
+// simulated network) and the runtime's RealTransport over its reactor and
+// peer channel.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +73,25 @@ private:
 };
 
 enum class GossipStrategy { Push, Pull, PushPull };
+
+/// What the gossip engine needs from its host. The host hands the gossip
+/// bodies it receives (envelopes, pull digests) to GossipNode::receive().
+class GossipPort {
+public:
+    using Task = std::function<void(CpuContext&)>;
+
+    virtual ~GossipPort() = default;
+
+    virtual ProcessId self() const = 0;
+    virtual SimTime now() const = 0;
+    /// Runs `task` on the host's CPU after the work already queued there.
+    virtual void post(Task task) = 0;
+    /// Calls `fn` outside any CPU task once `delay` has passed.
+    virtual void after(SimTime delay, std::function<void()> fn) = 0;
+    /// Sends `body` to `peer` from within a running task; false if the host
+    /// refused it.
+    virtual bool send(ProcessId peer, BodyPtr body, CpuContext& ctx) = 0;
+};
 
 class GossipNode {
 public:
@@ -134,8 +158,12 @@ public:
 
     using DeliverFn = std::function<void(const GossipAppMessage&, CpuContext&)>;
 
-    /// `hooks` must outlive the node. Installs itself as the node's receive
-    /// handler and, for Pull/PushPull, starts the anti-entropy timer.
+    /// Runs on `port`, which the node owns; `hooks` must outlive it. For
+    /// Pull/PushPull, starts the anti-entropy timer.
+    GossipNode(std::unique_ptr<GossipPort> port, std::vector<ProcessId> peers, Params params,
+               GossipHooks& hooks);
+    /// Simulator host: runs on `node`'s CPU, sends over its network links and
+    /// installs itself as its receive handler.
     GossipNode(Node& node, std::vector<ProcessId> peers, Params params, GossipHooks& hooks);
 
     /// Sets the application delivery callback (the consensus protocol's
@@ -152,6 +180,11 @@ public:
     /// Broadcasts from outside the CPU (e.g. a client submission event).
     void post_broadcast(GossipAppMessage msg);
 
+    /// Receive path: a gossip envelope or pull digest from `from`; other
+    /// bodies are ignored. Returns false, having dropped the envelope whole,
+    /// if it holds an aggregate that the hooks cannot reverse.
+    bool receive(ProcessId from, const MessageBody& body, CpuContext& ctx);
+
     /// Overlay churn (fault engine): attaches a peer mid-run, or re-activates
     /// a previously removed one. Returns false if already an active peer.
     /// The caller must ensure the network link is allowed.
@@ -167,10 +200,9 @@ public:
     /// All peer slots ever attached, including churned-out (inactive) ones;
     /// use is_peer() for current adjacency.
     const std::vector<ProcessId>& peers() const { return peers_; }
-    Node& node() { return node_; }
+    GossipPort& port() { return *port_; }
 
 private:
-    void on_net_receive(const NetMessage& msg, CpuContext& ctx);
     void accept(const GossipAppMessage& msg, ProcessId received_from, CpuContext& ctx);
     void forward(const GossipAppMessage& msg, ProcessId exclude);
     /// Total pending messages across active peer queues (fanout pressure).
@@ -184,7 +216,8 @@ private:
     void run_pull_round(CpuContext& ctx);
     void serve_digest(const PullDigest& digest, ProcessId requester, CpuContext& ctx);
 
-    Node& node_;
+    std::unique_ptr<GossipPort> port_;
+    ProcessId self_;
     std::vector<ProcessId> peers_;
     Params params_;
     GossipHooks& hooks_;
@@ -201,7 +234,7 @@ private:
     std::vector<PeerQueue> queues_;      // parallel to peers_
     std::vector<bool> peer_active_;      // parallel to peers_ (churn tombstones)
 
-    // Recent messages kept to answer pull digests.
+    // Recent messages kept to answer pull digests (Pull/PushPull only).
     std::deque<GossipAppMessage> store_;
 
     Counters counters_;

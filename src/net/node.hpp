@@ -83,7 +83,6 @@ public:
     /// in-use stream would correlate drops across phases of a run.
     /// Requires a stream (set_loss) before any non-zero rate.
     void set_loss_rate(double p);
-    bool has_loss_stream() const { return loss_rng_.has_value(); }
     double loss_rate() const { return loss_rate_; }
 
     /// Called by the Network when a transmission arrives over a link.

@@ -82,13 +82,6 @@ public:
     bool value_seen(const ValueId& id) const { return seen_values_.count(id) != 0; }
     std::size_t pending_values() const { return pending_.size(); }
     std::size_t undecided_proposals() const { return proposals_.size(); }
-    /// Instances proposed but not yet known decided (diagnostics/tests).
-    std::vector<InstanceId> undecided_instance_ids() const {
-        std::vector<InstanceId> out;
-        out.reserve(proposals_.size());
-        for (const auto& [instance, proposal] : proposals_) out.push_back(instance);
-        return out;
-    }
 
 private:
     void begin_phase1(CpuContext& ctx);

@@ -172,10 +172,6 @@ void ConnectionManager::handle_readable(Conn& conn) {
             continue;
         }
         if (frame.type == wire::FrameType::Hello) continue;  // duplicate, ignore
-        if (frame_fn_) {
-            frame_fn_(conn.peer, frame.type, frame.payload);
-            if (!conns_.contains(fd)) return;  // handler tore us down
-        }
         if (body_fn_ && frame.type == wire::FrameType::Body) {
             body_fn_(conn.peer, frame.payload);
             if (!conns_.contains(fd)) return;  // handler tore us down
@@ -216,14 +212,12 @@ void ConnectionManager::adopt(Conn& conn, ProcessId peer) {
     peer_fd_[p] = conn.fd;
     backoff_[p] = params_.reconnect_backoff_initial;
     ++counters_.links_up;
-    if (status_fn_) status_fn_(peer, true);
 }
 
 void ConnectionManager::drop_conn(int fd) {
     auto it = conns_.find(fd);
     if (it == conns_.end()) return;
     const ProcessId peer = it->second.peer;
-    const bool was_up = it->second.hello_received && peer >= 0;
     reactor_.remove_fd(fd);
     close_fd(fd);
     conns_.erase(it);
@@ -231,7 +225,6 @@ void ConnectionManager::drop_conn(int fd) {
     if (peer >= 0) {
         const auto p = static_cast<std::size_t>(peer);
         if (peer_fd_[p] == fd) peer_fd_[p] = -1;
-        if (was_up && status_fn_) status_fn_(peer, false);
         schedule_redial(peer);
     }
 }

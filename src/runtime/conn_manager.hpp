@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -59,11 +58,6 @@ public:
         std::uint64_t protocol_errors = 0;   ///< corrupt stream / bad Hello
     };
 
-    using FrameFn =
-        std::function<void(ProcessId from, wire::FrameType type,
-                           std::span<const std::uint8_t> payload)>;
-    using PeerStatusFn = std::function<void(ProcessId peer, bool up)>;
-
     /// `listen_fd` must already be bound + listening + non-blocking
     /// (runtime::listen_tcp); the manager owns it from here on.
     ConnectionManager(Reactor& reactor, ProcessId self,
@@ -72,9 +66,6 @@ public:
 
     ConnectionManager(const ConnectionManager&) = delete;
     ConnectionManager& operator=(const ConnectionManager&) = delete;
-
-    void set_frame_handler(FrameFn fn) { frame_fn_ = std::move(fn); }
-    void set_peer_status_handler(PeerStatusFn fn) { status_fn_ = std::move(fn); }
 
     /// Declares `peer` a linked neighbor: dials it (if this side dials) and
     /// keeps re-dialing on failure until the manager is destroyed.
@@ -131,9 +122,7 @@ private:
     std::vector<PeerAddress> cluster_;
     int listen_fd_;
     Params params_;
-    FrameFn frame_fn_;
     BodyFn body_fn_;
-    PeerStatusFn status_fn_;
 
     std::unordered_map<int, Conn> conns_;        ///< by fd
     std::vector<int> peer_fd_;                   ///< current conn fd per peer (-1 none)

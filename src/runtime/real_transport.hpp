@@ -8,14 +8,11 @@
 // Two modes, matching the simulator's setups:
 //  * Direct — point-to-point unicast to every cluster member (the Baseline
 //    setup); broadcast fans out one encoded frame per peer.
-//  * Gossip — push dissemination over the overlay neighbors, mirroring
-//    GossipNode exactly: a recently-seen cache dedups, delivery happens on
-//    first sight, forwards go to every neighbor but the sender through
-//    per-peer pending queues drained on the event loop, and the semantic
-//    hooks (aggregate/validate/disaggregate) run at the same points —
-//    aggregate over a peer's pending batch at drain, validate per message
-//    before the wire, disaggregate on receipt of an aggregated envelope.
-//    Hop counts increment per transmission and survive the codec.
+//  * Gossip — dissemination over the overlay neighbors by the simulator's
+//    own gossip engine: this transport hosts a GossipNode (default Params:
+//    push, flood fanout, no batching) on the reactor and the peer channel.
+//    Decoded envelopes go to the engine's receive path; the engine's sends
+//    are encoded onto the channel. Hop counts survive the codec.
 //
 // CpuContext is constructed from the reactor's monotonic clock; consume()
 // advances only the context's virtual time (the real CPU cost is the real
@@ -26,8 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "gossip/hooks.hpp"
-#include "gossip/seen_cache.hpp"
+#include "gossip/gossip_node.hpp"
 #include "runtime/peer_channel.hpp"
 #include "runtime/reactor.hpp"
 #include "transport/transport.hpp"
@@ -43,25 +39,14 @@ public:
         /// Overlay neighbors forwarded to in Gossip mode (ignored in Direct
         /// mode, which talks to the whole cluster).
         std::vector<ProcessId> neighbors;
-        std::size_t seen_cache_capacity = 1 << 18;
-        /// Pending messages per peer before new forwards are dropped,
-        /// mirroring GossipNode::Params::peer_queue_cap.
-        std::size_t peer_queue_cap = 8192;
     };
 
-    /// Mirrors GossipNode::Counters where the semantics coincide, plus the
-    /// codec's decode_errors (a simulator run cannot have those).
-    struct Counters {
-        std::uint64_t broadcasts = 0;
-        std::uint64_t envelopes_received = 0;
-        std::uint64_t messages_received = 0;  ///< after disaggregation
-        std::uint64_t duplicates = 0;
-        std::uint64_t delivered = 0;
-        std::uint64_t filtered = 0;           ///< dropped by validate()
-        std::uint64_t aggregated_away = 0;
-        std::uint64_t envelopes_sent = 0;
-        std::uint64_t send_queue_drops = 0;   ///< peer pending-queue cap hit
-        std::uint64_t decode_errors = 0;      ///< frames that failed to decode
+    /// The gossip engine's counters (all zero in Direct mode) plus the
+    /// codec's decode_errors, which a simulator run cannot have.
+    struct Counters : GossipNode::Counters {
+        /// frames that failed to decode, or held an aggregate the hooks
+        /// cannot reverse
+        std::uint64_t decode_errors = 0;
     };
 
     /// `hooks` must outlive the transport (pass PassThroughHooks for classic
@@ -69,8 +54,8 @@ public:
     /// `chan`'s body handler and links the relevant peers.
     RealTransport(Reactor& reactor, PeerChannel& chan, Params params,
                   GossipHooks& hooks);
-    /// Detaches from the channel and invalidates the pending drain/timer
-    /// tasks: the chaos bridge tears transports down mid-run, so everything
+    /// Detaches from the channel and invalidates the pending tasks and
+    /// timers: the chaos bridge tears transports down mid-run, so everything
     /// posted to the reactor must survive the teardown.
     ~RealTransport() override;
 
@@ -85,44 +70,30 @@ public:
     void schedule_every(SimTime period, std::function<void(CpuContext&)> fn) override;
     void post(std::function<void(CpuContext&)> fn) override;
 
-    const Counters& counters() const { return counters_; }
+    Counters counters() const;
 
     /// Overlay churn over the live runtime (Gossip mode): start/stop
-    /// forwarding to `peer`. A removed neighbor's slot is tombstoned, not
-    /// erased — pending drain tasks capture queue indices, which must stay
-    /// stable. Re-adding a removed neighbor revives its slot.
+    /// forwarding to `peer` (GossipNode::add_peer/remove_peer).
     void add_neighbor(ProcessId peer);
     void remove_neighbor(ProcessId peer);
-    const std::vector<ProcessId>& neighbors() const { return params_.neighbors; }
 
 private:
+    class GossipHost;
+
+    bool gossip_mode() const { return params_.mode == Mode::Gossip; }
     void on_body(ProcessId from, std::span<const std::uint8_t> payload);
-    void on_envelope(const GossipAppMessage& msg, ProcessId from, CpuContext& ctx);
-    void accept(const GossipAppMessage& msg, ProcessId received_from, CpuContext& ctx);
-    void deliver(const GossipAppMessage& msg, CpuContext& ctx);
-    void forward(const GossipAppMessage& msg, ProcessId exclude);
-    void drain_peer(std::size_t idx, CpuContext& ctx);
-    void send_envelope(const GossipAppMessage& msg, ProcessId peer);
-    void send_body(ProcessId to, const MessageBody& body);
+    bool send_body(ProcessId to, const MessageBody& body);
 
     Reactor& reactor_;
     PeerChannel& chan_;
     Params params_;
-    GossipHooks& hooks_;
-    SeenCache seen_;
-
-    struct PeerQueue {
-        std::vector<GossipAppMessage> pending;
-        bool drain_scheduled = false;
-        bool active = true;  ///< false = churned away (tombstoned slot)
-    };
-    std::vector<PeerQueue> queues_;  // parallel to params_.neighbors
 
     /// Guards reactor tasks/timers posted by this transport: posts cannot
     /// be cancelled and the chaos bridge destroys transports mid-run.
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
     std::vector<Reactor::TimerId> timers_;  ///< periodic chains, cancelled on destroy
-    Counters counters_;
+    std::unique_ptr<GossipNode> gossip_;    ///< set iff gossip_mode(), on a GossipHost
+    std::uint64_t decode_errors_ = 0;
 };
 
 /// Reliability policy over datagram channels (DESIGN.md §12): which bodies

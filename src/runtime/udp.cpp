@@ -38,8 +38,13 @@ int open_udp(const std::string& host, std::uint16_t port, std::string* err) {
         if (err) *err = std::string("socket: ") + std::strerror(errno);
         return -1;
     }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    // Only an explicit port may be reused (a restarted daemon rebinding its
+    // address). Two SO_REUSEADDR UDP sockets can share a port, so setting
+    // it on a port-0 bind lets a later bind land on this socket's port.
+    if (port != 0) {
+        const int one = 1;
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    }
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
         if (err) *err = std::string("bind: ") + std::strerror(errno);
         ::close(fd);

@@ -26,21 +26,20 @@ void GossipTransport::send(ProcessId /*to*/, PaxosMessagePtr msg, CpuContext& ct
 }
 
 void GossipTransport::schedule(SimTime delay, std::function<void(CpuContext&)> fn) {
-    Node& node = gossip_.node();
-    node.simulator().schedule_after(delay, [&node, fn = std::move(fn)] { node.post(fn); });
+    GossipPort& port = gossip_.port();
+    port.after(delay, [&port, fn = std::move(fn)] { port.post(fn); });
 }
 
 void GossipTransport::schedule_every(SimTime period, std::function<void(CpuContext&)> fn) {
-    Node& node = gossip_.node();
-    node.simulator().schedule_after(period,
-                                    [this, &node, period, fn = std::move(fn)]() mutable {
-                                        node.post(fn);
-                                        schedule_every(period, std::move(fn));
-                                    });
+    GossipPort& port = gossip_.port();
+    port.after(period, [this, &port, period, fn = std::move(fn)]() mutable {
+        port.post(fn);
+        schedule_every(period, std::move(fn));
+    });
 }
 
 void GossipTransport::post(std::function<void(CpuContext&)> fn) {
-    gossip_.node().post(std::move(fn));
+    gossip_.port().post(std::move(fn));
 }
 
 }  // namespace gossipc

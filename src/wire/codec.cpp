@@ -581,11 +581,23 @@ void encode_envelope(const GossipEnvelope& env, WireWriter& out) {
     if (msg.payload) encode_inner(*msg.payload, out);
 }
 
+/// The payloads an aggregation rule emits: Phase2bAggregate and GroupBatch
+/// (PaxosSemantics), AckAggregate (RaftSemantics).
+bool is_aggregate(const MessageBody& body) {
+    if (body.kind() == BodyKind::Paxos) {
+        const PaxosMsgType type = static_cast<const PaxosMessage&>(body).type();
+        return type == PaxosMsgType::Phase2bAggregate || type == PaxosMsgType::GroupBatch;
+    }
+    return body.kind() == BodyKind::Raft &&
+           static_cast<const RaftMessage&>(body).type() == RaftMsgType::AckAggregate;
+}
+
 BodyPtr decode_envelope(WireReader& in) {
     GossipAppMessage msg;
     msg.id = in.u64();
     msg.origin = in.i32();
     msg.hops = in.u16();
+    const std::size_t flags_offset = in.pos();
     const std::uint8_t flags = in.u8();
     if (in.ok() && (flags & ~kEnvelopeAggregated) != 0) in.fail(WireError::BadField);
     msg.aggregated = (flags & kEnvelopeAggregated) != 0;
@@ -613,6 +625,12 @@ BodyPtr decode_envelope(WireReader& in) {
             return nullptr;
     }
     if (!in.ok()) return nullptr;
+    // Receivers reverse the flag by disaggregating; on any other payload
+    // the flag could only be undone by dropping the message.
+    if (msg.aggregated && !is_aggregate(*msg.payload)) {
+        in.fail_at(WireError::BadField, flags, flags_offset);
+        return nullptr;
+    }
     return std::make_shared<GossipEnvelope>(std::move(msg));
 }
 

@@ -59,11 +59,6 @@ public:
     const std::vector<std::uint8_t>& data() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
 
-    /// Patches a previously written u32 (length back-fill).
-    void patch_u32(std::size_t offset, std::uint32_t v) {
-        std::memcpy(buf_.data() + offset, &v, sizeof v);
-    }
-
 private:
     void append(const void* p, std::size_t n) {
         const auto* b = static_cast<const std::uint8_t*>(p);

@@ -198,6 +198,22 @@ TEST(GossipNodeTest, CountersAddUp) {
     }
 }
 
+TEST(GossipNodeTest, ReceiveDropsAggregateTheHooksCannotReverse) {
+    Graph line(2);
+    line.add_edge(0, 1);
+    GossipFixture f(line);
+    GossipAppMessage agg = make_msg(7, 0);
+    agg.aggregated = true;  // PassThroughHooks returns it unchanged
+    CpuContext ctx(SimTime::zero());
+    EXPECT_FALSE(f.nodes[1]->receive(0, GossipEnvelope(agg), ctx));
+    EXPECT_TRUE(f.nodes[1]->receive(0, GossipEnvelope(make_msg(8, 0)), ctx));
+    f.sim.run_until_idle();
+    EXPECT_EQ(f.delivered[1], std::multiset<GossipMsgId>{8});
+    EXPECT_EQ(f.delivered[0], std::multiset<GossipMsgId>{});  // nothing forwarded back
+    EXPECT_EQ(f.nodes[1]->counters().envelopes_received, 2u);
+    EXPECT_EQ(f.nodes[1]->counters().messages_received, 1u);
+}
+
 TEST(GossipNodeTest, PullDisseminates) {
     const Graph overlay = make_connected_overlay(8, 9);
     GossipNode::Params gp;

@@ -319,6 +319,20 @@ TEST(GossipInvariantDeathTest, AggregatedMessageMustNotReachDelivery) {
     EXPECT_DEATH(node.broadcast(msg, ctx), "entered the broadcast path");
 }
 
+TEST(GossipInvariantDeathTest, UnreversedAggregateMustNotBeReceived) {
+    Simulator sim;
+    Network net(sim, LatencyModel::aws(), 2, Network::Params{});
+    net.allow_link(0, 1);
+    PassThroughHooks hooks;  // cannot reverse the Phase 2b aggregate below
+    GossipNode node(net.node(1), {0}, GossipNode::Params{}, hooks);
+    const Value v = make_value(0, 1);
+    GossipAppMessage msg = wrap(std::make_shared<Phase2bAggregateMsg>(
+        0, 1, 1, v.id, v.digest(), std::vector<ProcessId>{0, 2}, 0));
+    msg.aggregated = true;
+    net.node(0).post_transmit(NetMessage{0, 1, std::make_shared<GossipEnvelope>(msg)});
+    EXPECT_DEATH(sim.run_until_idle(), "was not reversed");
+}
+
 // --- Deployment wiring ------------------------------------------------------
 
 TEST(InvariantCheckerTest, DeploymentRunsChecksDuringExperiment) {

@@ -13,6 +13,7 @@
 // seconds) while actual runs complete in tens of milliseconds.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "runtime/real_transport.hpp"
 #include "runtime/tcp.hpp"
 #include "semantic/paxos_semantics.hpp"
+#include "wire/codec.hpp"
 
 namespace gossipc::runtime {
 namespace {
@@ -52,7 +54,9 @@ enum class Setup { Baseline, Gossip, Semantic };
 
 class LoopbackCluster {
 public:
-    LoopbackCluster(int n, Setup setup, std::uint64_t overlay_seed = 42) : n_(n) {
+    LoopbackCluster(int n, Setup setup, std::uint64_t overlay_seed = 42,
+                    PaxosSemantics::Options semantics = {})
+        : n_(n) {
         // Ephemeral ports: bind every listener on port 0 first, read the
         // ports back, then hand the complete address list to every manager.
         std::vector<int> listen_fds;
@@ -80,8 +84,7 @@ public:
 
             GossipHooks* hooks = &node->pass_through;
             if (setup == Setup::Semantic) {
-                node->semantics = std::make_unique<PaxosSemantics>(
-                    i, pc.quorum(), PaxosSemantics::Options{});
+                node->semantics = std::make_unique<PaxosSemantics>(i, pc.quorum(), semantics);
                 hooks = node->semantics.get();
             }
 
@@ -110,10 +113,14 @@ public:
 
     /// Waits for every overlay link's Hello handshake, then starts the stack.
     void start() {
+        wait_for_mesh();
+        for (auto& node : nodes_) node->proc->post_start();
+    }
+
+    void wait_for_mesh() {
         const bool mesh_up = reactor_.run_until([this] { return all_links_up(); },
                                                 SimTime::seconds(10));
         ASSERT_TRUE(mesh_up) << "connection mesh did not come up";
-        for (auto& node : nodes_) node->proc->post_start();
     }
 
     /// Submits `total` values round-robin across all nodes. Sequence numbers
@@ -230,6 +237,147 @@ TEST(RealTransport, SemanticClusterAgrees) {
         EXPECT_EQ(cluster.node(i).transport->counters().decode_errors, 0u);
     }
     EXPECT_GT(aggregates, 0u);
+}
+
+/// Broadcasts one Phase 2b vote per (node, instance) straight through every
+/// node's Gossip-mode RealTransport, with no protocol running, and checks
+/// the gossip engine's delivery contract on real sockets: each node delivers
+/// each id exactly once, and its counters satisfy the identity that
+/// GossipNodeTest.CountersAddUp checks in the simulator.
+void expect_exactly_once_delivery(LoopbackCluster& cluster, int instances) {
+    const int n = cluster.size();
+    std::vector<std::map<std::uint64_t, int>> delivered(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        // Replaces the idle PaxosProcess as the transport's consumer.
+        cluster.node(i).transport->set_deliver(
+            [&delivered, i](const PaxosMessagePtr& msg, CpuContext&) {
+                ++delivered[static_cast<std::size_t>(i)][msg->unique_key()];
+            });
+    }
+    cluster.wait_for_mesh();
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < n; ++i) {
+        std::vector<PaxosMessagePtr> votes;
+        for (InstanceId inst = 1; inst <= instances; ++inst) {
+            // Every node votes for the same value per instance, so relays
+            // can merge votes of different senders into aggregates.
+            votes.push_back(std::make_shared<Phase2bMsg>(i, inst, 1, ValueId{0, inst},
+                                                         0xabc0ULL + inst));
+            ids.push_back(votes.back()->unique_key());
+        }
+        RealTransport& transport = *cluster.node(i).transport;
+        transport.post([&transport, votes](CpuContext& ctx) {
+            for (const auto& vote : votes) transport.broadcast(vote, ctx);
+        });
+    }
+    const auto all_delivered = [&] {
+        for (const auto& seen : delivered) {
+            if (seen.size() < ids.size()) return false;
+        }
+        return true;
+    };
+    ASSERT_TRUE(cluster.reactor().run_until(all_delivered, SimTime::seconds(30)))
+        << "dissemination did not reach every node";
+
+    for (int i = 0; i < n; ++i) {
+        const auto& seen = delivered[static_cast<std::size_t>(i)];
+        EXPECT_EQ(seen.size(), ids.size()) << "node " << i;
+        for (const std::uint64_t id : ids) {
+            const auto it = seen.find(id);
+            ASSERT_NE(it, seen.end()) << "node " << i << " missed " << id;
+            EXPECT_EQ(it->second, 1) << "node " << i << " delivered " << id << " twice";
+        }
+        const auto c = cluster.node(i).transport->counters();
+        EXPECT_EQ(c.broadcasts, static_cast<std::uint64_t>(instances)) << "node " << i;
+        EXPECT_EQ(c.delivered, c.broadcasts + c.messages_received - c.duplicates)
+            << "node " << i;
+        EXPECT_EQ(c.send_queue_drops, 0u) << "node " << i;
+        EXPECT_EQ(c.decode_errors, 0u) << "node " << i;
+    }
+}
+
+TEST(RealTransport, GossipDeliversEachIdExactlyOnce) {
+    LoopbackCluster cluster(5, Setup::Gossip);
+    expect_exactly_once_delivery(cluster, 40);
+}
+
+TEST(RealTransport, SemanticAggregatesAndDeliversEachIdExactlyOnce) {
+    // Filtering off: it withholds votes a peer provably no longer needs, so
+    // not every node would deliver every id. Aggregation stays on.
+    PaxosSemantics::Options options;
+    options.filtering = false;
+    LoopbackCluster cluster(5, Setup::Semantic, 42, options);
+    expect_exactly_once_delivery(cluster, 40);
+
+    std::uint64_t aggregates = 0;
+    std::uint64_t unpacked = 0;
+    for (int i = 0; i < cluster.size(); ++i) {
+        aggregates += cluster.node(i).semantics->stats().aggregates_built;
+        unpacked += cluster.node(i).semantics->stats().disaggregations;
+    }
+    EXPECT_GT(aggregates, 0u) << "no aggregated envelope was exercised";
+    EXPECT_GT(unpacked, 0u);
+}
+
+/// A channel with no sockets behind it: the test hands the transport raw
+/// bodies and records what it sends.
+class FakeChannel final : public PeerChannel {
+public:
+    ProcessId self() const override { return 0; }
+    int size() const override { return 2; }
+    void set_body_handler(BodyFn fn) override { handler = std::move(fn); }
+    void link(ProcessId) override {}
+    bool peer_up(ProcessId) const override { return true; }
+    bool send_body(ProcessId, std::span<const std::uint8_t>, bool) override {
+        ++sent;
+        return true;
+    }
+
+    BodyFn handler;
+    int sent = 0;
+};
+
+TEST(RealTransport, UnreversibleAggregateIsADecodeError) {
+    // A Phase 2b aggregate such as a Semantic-setup peer sends. Hooks that
+    // cannot reverse it must not let it reach the delivery path.
+    auto votes = std::make_shared<Phase2bAggregateMsg>(
+        1, 42, 3, ValueId{2, 8}, 0xfeedfaceULL, std::vector<ProcessId>{1, 2, 3}, 0);
+    GossipAppMessage app;
+    app.id = votes->unique_key();
+    app.origin = 1;
+    app.payload = votes;
+    app.aggregated = true;
+    const std::vector<std::uint8_t> aggregate = wire::encode_body(GossipEnvelope(app));
+    // The same flag on a payload no aggregation rule emits; the codec
+    // rejects it.
+    app.payload = std::make_shared<Phase2bMsg>(1, 42, 3, ValueId{2, 8}, 0xfeedfaceULL);
+    const std::vector<std::uint8_t> forged = wire::encode_body(GossipEnvelope(app));
+
+    const auto run = [&](GossipHooks& hooks, std::uint64_t& decode_errors) {
+        Reactor reactor;
+        FakeChannel chan;
+        RealTransport::Params params;
+        params.mode = RealTransport::Mode::Gossip;
+        params.neighbors = {1};
+        RealTransport transport(reactor, chan, params, hooks);
+        int delivered = 0;
+        transport.set_deliver([&delivered](const PaxosMessagePtr&, CpuContext&) {
+            ++delivered;
+        });
+        chan.handler(1, aggregate);
+        chan.handler(1, forged);  // delivery runs inside the handler
+        decode_errors = transport.counters().decode_errors;
+        return delivered;
+    };
+
+    std::uint64_t errors = 0;
+    PassThroughHooks pass_through;
+    EXPECT_EQ(run(pass_through, errors), 0);
+    EXPECT_EQ(errors, 2u);
+    // Control: hooks that know the aggregate unpack and deliver its votes.
+    PaxosSemantics semantics(0, 3, PaxosSemantics::Options{});
+    EXPECT_EQ(run(semantics, errors), 3);
+    EXPECT_EQ(errors, 1u);
 }
 
 TEST(RealTransport, SecondWaveAfterQuiescence) {

@@ -2,7 +2,8 @@
 // ctest prefix: an in-process loopback cluster — every node's UdpLink,
 // RealTransport, and PaxosProcess share one Reactor and exchange datagrams
 // through the deterministic lossy-link harness (no real sockets), so the
-// whole thing runs byte-reproducibly under ctest and ASan/UBSan.
+// whole thing runs byte-reproducibly under ctest and ASan/UBSan. One test
+// binds real sockets: open_udp's ephemeral port must not be shareable.
 //
 // The headline assertions: a cluster at 20% seeded loss plus duplication
 // and reordering still orders every client value with gap-free, identical
@@ -13,7 +14,11 @@
 // bodies are never mourned, MTU clustering, jumbo handling, datagram
 // dedup, and hostile ack fields.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -26,6 +31,8 @@
 #include "paxos/process.hpp"
 #include "runtime/lossy_link.hpp"
 #include "runtime/real_transport.hpp"
+#include "runtime/tcp.hpp"
+#include "runtime/udp.hpp"
 #include "runtime/udp_link.hpp"
 #include "semantic/paxos_semantics.hpp"
 #include "wire/datagram.hpp"
@@ -485,7 +492,7 @@ TEST(UdpLink, ForceReliableRepairsEverything) {
     fault::DatagramFaultSpec spec;
     spec.loss = 0.4;
     UdpLink::Params params = test_link_params();
-    params.force_reliable = true;  // the bench's TCP-like configuration
+    params.force_reliable = true;  // the TCP-like service: every body repaired
     LinkPair pair(47, spec, params);
     for (int i = 0; i < kBodies; ++i) {
         ASSERT_TRUE(pair.a.send_body(1, test_body(i), /*reliable=*/false));
@@ -615,6 +622,29 @@ TEST(UdpLink, EpochBumpRestartsIncarnationAndDelivers) {
         << "fresh incarnation's first body was swallowed as a duplicate";
     EXPECT_EQ(b.counters().epoch_resets, 1u);
     EXPECT_EQ(received[1], test_body(2));
+}
+
+TEST(UdpSocket, EphemeralPortCannotBeShared) {
+    // Two SO_REUSEADDR UDP sockets may bind one port. If a port-0 bind set
+    // it, a later SO_REUSEADDR bind (say, another node's socket in the same
+    // process) could land on this port and take half its datagrams.
+    std::string err;
+    const int fd = open_udp("127.0.0.1", 0, &err);
+    ASSERT_GE(fd, 0) << err;
+    const int other = ::socket(AF_INET, SOCK_DGRAM, 0);
+    ASSERT_GE(other, 0);
+    const int one = 1;
+    ASSERT_EQ(::setsockopt(other, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(local_port(fd));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const int rc = ::bind(other, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+    const int bind_errno = errno;
+    ::close(other);
+    ::close(fd);
+    EXPECT_EQ(rc, -1) << "second bind shared the ephemeral port";
+    EXPECT_EQ(bind_errno, EADDRINUSE);
 }
 
 }  // namespace

@@ -549,6 +549,39 @@ TEST(WireCodec, EnvelopeAggregatedFlagRoundTrip) {
     EXPECT_EQ(inner.senders().size(), 5u);
 }
 
+TEST(WireCodec, EnvelopeAggregatedFlagNeedsAnAggregatePayload) {
+    const auto flagged = [](BodyPtr payload) {
+        GossipAppMessage app;
+        app.id = 77;
+        app.origin = 1;
+        app.payload = std::move(payload);
+        app.aggregated = true;
+        return wire::encode_body(GossipEnvelope(app));
+    };
+    // No receiver could reverse the flag on these: rejected at the codec.
+    for (const BodyPtr& payload : std::vector<BodyPtr>{
+             std::make_shared<Phase2bMsg>(5, 42, 3, ValueId{2, 8}, 0xfeedfaceULL, 1),
+             std::make_shared<HeartbeatMsg>(7, 1, 1),
+             std::make_shared<AckMsg>(4, 2, 42, 0xabcdef01ULL)}) {
+        const auto bytes = flagged(payload);
+        const wire::DecodedBody d = wire::decode_body(as_span(bytes));
+        EXPECT_EQ(d.error, WireError::BadField) << payload->describe();
+        EXPECT_EQ(d.body, nullptr);
+    }
+    // The aggregation rules' outputs carry it.
+    std::vector<PaxosMessagePtr> entries{
+        std::make_shared<Phase2bMsg>(5, 42, 3, ValueId{2, 8}, 0xfeedfaceULL, 1)};
+    for (const BodyPtr& payload : std::vector<BodyPtr>{
+             std::make_shared<GroupBatchMsg>(5, PaxosMsgType::Phase2b, std::move(entries)),
+             std::make_shared<AckAggregateMsg>(5, 2, 42, 0xabcdef01ULL,
+                                               std::vector<ProcessId>{0, 1, 2})}) {
+        const auto bytes = flagged(payload);
+        const wire::DecodedBody d = wire::decode_body(as_span(bytes));
+        ASSERT_TRUE(d.ok()) << payload->describe() << ": " << wire::wire_error_name(d.error);
+        EXPECT_TRUE(static_cast<const GossipEnvelope&>(*d.body).message().aggregated);
+    }
+}
+
 TEST(WireCodec, EnvelopeWithRaftPayloadRoundTrip) {
     auto payload = std::make_shared<AckMsg>(4, 2, 42, 0xabcdef01ULL);
     GossipAppMessage app;
