@@ -64,7 +64,7 @@ namespace {
         "  --detector-sweep <s>               suspicion sweep interval (default 0.05)\n"
         "  --suspicion-jitter <s>             max suspicion-deadline jitter (default 0.06)\n"
         "  --retransmit-jitter <s>            max retransmit-backoff jitter (default 0.15)\n"
-        "  --probe-events <n>                 invariant probe period, 0 = off\n"
+        "  --probe-events <n>                 coordinator-succession probe period, 0 = off\n"
         "                                     (default 25000; debug builds only)\n"
         "  --bandwidth <bytes-per-us>         per-link bandwidth (default 125)\n"
         "  --jitter-frac <0..1>               latency jitter fraction (default 0.02)\n"

@@ -43,10 +43,12 @@ template <typename... Args>
 inline void sink(Args&&... /*args*/) {}
 }  // namespace detail
 
-/// Observer running registered whole-system checks (e.g. cross-learner
-/// agreement) at points chosen by the host: the simulator invokes it through
-/// an event-count probe, the experiment driver after a run. Each check is a
-/// closure over the components it inspects and fails via GC_INVARIANT.
+/// Observer running registered whole-system checks at points chosen by the
+/// host: the simulator invokes it through an event-count probe, the
+/// experiment driver after a run. Each check is a closure over the
+/// components it inspects and fails via GC_INVARIANT. Only checks that are
+/// O(processes) per run belong here (coordinator succession); per-instance
+/// state is checked at its transitions instead (paxos_invariants.hpp).
 class InvariantChecker {
 public:
     using CheckFn = std::function<void()>;

@@ -1,10 +1,6 @@
 #include "check/paxos_invariants.hpp"
 
 #include <algorithm>
-#include <memory>
-
-#include "paxos/acceptor.hpp"
-#include "paxos/learner.hpp"
 
 namespace gossipc::check {
 
@@ -13,99 +9,59 @@ inline long long ll(InstanceId v) { return static_cast<long long>(v); }
 inline unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>(v); }
 }  // namespace
 
-void AcceptorMonitor::observe(const Acceptor& acceptor) {
-    // P-ACC-2: the promise floor only rises (an acceptor never un-promises).
-    GC_INVARIANT(acceptor.promise_floor() >= last_floor_,
-                 "acceptor promise floor moved backwards: %d -> %d", last_floor_,
-                 acceptor.promise_floor());
-    last_floor_ = acceptor.promise_floor();
-
-    std::map<InstanceId, std::pair<Round, std::uint64_t>> next;
-    for (const AcceptedEntry& e : acceptor.accepted_snapshot()) {
-        const std::uint64_t digest = e.value.digest();
-        if (const auto it = accepted_.find(e.instance); it != accepted_.end()) {
-            const auto& [prev_vround, prev_digest] = it->second;
-            // P-ACC-3: re-acceptance happens only at a round at least as high.
-            GC_INVARIANT(e.vround >= prev_vround,
-                         "accepted round moved backwards in instance %lld: %d -> %d",
-                         ll(e.instance), prev_vround, e.vround);
-            // P-ACC-4: the vote cast in a given (instance, vround) is final.
-            GC_INVARIANT(e.vround > prev_vround || digest == prev_digest,
-                         "accepted value changed within round %d of instance %lld "
-                         "(digest %016llx -> %016llx)",
-                         e.vround, ll(e.instance), ull(prev_digest), ull(digest));
-        }
-        next.emplace(e.instance, std::pair{e.vround, digest});
-    }
-    // Entries missing from the snapshot were garbage-collected below the
-    // decision frontier (forget_below) — dropping them is legitimate.
-    accepted_ = std::move(next);
+AgreementMonitor::AgreementMonitor(std::size_t learners)
+    : frontier_(learners, 1), window_(1) {
+    window_.front().frontiers = static_cast<std::uint32_t>(learners);
 }
 
-void AgreementMonitor::observe(const std::vector<const Learner*>& learners) {
-    if (learners.empty()) return;
-    last_frontier_.resize(learners.size(), 1);
-    InstanceId max_seen = 0;
-    InstanceId min_frontier = learners.front()->frontier();
-    for (std::size_t i = 0; i < learners.size(); ++i) {
-        const Learner& l = *learners[i];
-        // P-LRN-2: the delivery frontier never regresses.
-        GC_INVARIANT(l.frontier() >= last_frontier_[i],
-                     "learner %zu delivery frontier moved backwards: %lld -> %lld", i,
-                     ll(last_frontier_[i]), ll(l.frontier()));
-        // P-LRN-3: in-order gapless delivery starting at instance 1 means the
-        // frontier and the delivered count move in lockstep.
-        GC_INVARIANT(l.frontier() == static_cast<InstanceId>(l.delivered_count()) + 1,
-                     "learner %zu frontier %lld inconsistent with %llu delivered values",
-                     i, ll(l.frontier()), ull(l.delivered_count()));
-        last_frontier_[i] = l.frontier();
-        max_seen = std::max(max_seen, l.highest_seen());
-        min_frontier = std::min(min_frontier, l.frontier());
-    }
+AgreementMonitor::Slot& AgreementMonitor::slot(InstanceId instance) {
+    const auto offset = static_cast<std::size_t>(instance - floor_);
+    if (offset >= window_.size()) window_.resize(offset + 1);
+    return window_[offset];
+}
 
-    // P-AGR-1 (agreement): every decision observed for an instance — at any
-    // learner, at any time — carries the same value digest.
-    for (InstanceId inst = floor_; inst <= max_seen; ++inst) {
-        for (std::size_t i = 0; i < learners.size(); ++i) {
-            const Learner& l = *learners[i];
-            if (!l.knows_decision(inst)) continue;
-            const auto digest = l.decided_digest(inst);
-            if (!digest) continue;  // delivered and truncated: content gone
-            const auto it = decided_digest_.try_emplace(inst, *digest).first;
-            GC_INVARIANT(it->second == *digest,
-                         "agreement violated: instance %lld decided as digest %016llx "
-                         "and as %016llx (learner %zu)",
-                         ll(inst), ull(it->second), ull(*digest), i);
-        }
+void AgreementMonitor::on_decided(std::size_t learner, InstanceId instance,
+                                  std::uint64_t digest) {
+    if (instance < floor_) return;  // retired: delivered everywhere already
+    Slot& s = slot(instance);
+    if (!s.decided) {
+        s.decided = true;
+        s.digest = digest;
+        return;
     }
+    // P-AGR-1 (agreement): every decision for an instance — at any learner,
+    // at any time — carries the same value digest.
+    GC_INVARIANT(s.digest == digest,
+                 "agreement violated: instance %lld decided as digest %016llx "
+                 "and as %016llx (learner %zu)",
+                 ll(instance), ull(s.digest), ull(digest), learner);
+}
 
+void AgreementMonitor::on_delivered(std::size_t learner, InstanceId instance) {
+    // P-LRN-2: the delivery frontier never regresses. The learner's frontier
+    // was `instance` just before this delivery.
+    GC_INVARIANT(instance >= frontier_[learner],
+                 "learner %zu delivery frontier moved backwards: %lld -> %lld", learner,
+                 ll(frontier_[learner]), ll(instance));
+    move_frontier(learner, instance + 1);
+}
+
+void AgreementMonitor::forget_learner(std::size_t i) {
+    if (i < frontier_.size()) move_frontier(i, 1);
+}
+
+void AgreementMonitor::move_frontier(std::size_t i, InstanceId frontier) {
+    const InstanceId from = std::max(frontier_[i], floor_);
+    const InstanceId to = std::max(frontier, floor_);
+    frontier_[i] = frontier;
+    if (from == to) return;
+    --slot(from).frontiers;
+    ++slot(to).frontiers;
     // Instances every learner has delivered can no longer change; retire them.
-    while (floor_ < min_frontier) {
-        decided_digest_.erase(floor_);
+    while (!window_.empty() && window_.front().frontiers == 0) {
+        window_.pop_front();
         ++floor_;
     }
-}
-
-PaxosCheckHandles register_paxos_checks(InvariantChecker& checker,
-                                        std::vector<const Learner*> learners,
-                                        std::vector<const Acceptor*> acceptors) {
-    auto agreement = std::make_shared<AgreementMonitor>();
-    checker.add_check("paxos-agreement",
-                      [agreement, learners = std::move(learners)] {
-                          agreement->observe(learners);
-                      });
-    auto monitors = std::make_shared<std::vector<AcceptorMonitor>>(acceptors.size());
-    checker.add_check("paxos-acceptors", [monitors, acceptors = std::move(acceptors)] {
-        for (std::size_t i = 0; i < acceptors.size(); ++i) {
-            (*monitors)[i].observe(*acceptors[i]);
-        }
-    });
-    PaxosCheckHandles handles;
-    handles.forget_process = [agreement, monitors](std::size_t i) {
-        agreement->forget_learner(i);
-        if (i < monitors->size()) (*monitors)[i].forget();
-    };
-    return handles;
 }
 
 }  // namespace gossipc::check

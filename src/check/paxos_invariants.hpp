@@ -1,90 +1,76 @@
-// Paxos safety invariants checked continuously at runtime.
+// Paxos safety invariants, checked at the state transitions.
 //
-// The monitors are shadow models: each observe() compares a component's
-// externally visible state against the previous snapshot and fails via
-// GC_INVARIANT on any transition Paxos forbids —
-//   * an acceptor's promise floor moving backwards,
-//   * an accepted (instance, vround) changing its value,
-//   * a learner's delivery frontier regressing or disagreeing with its
-//     delivered count,
-//   * two learners deciding different values for one instance (agreement).
-// register_paxos_checks() bundles them for a whole deployment; the
-// experiment driver runs the bundle through the simulator's event probe.
+// Each check runs where the state it guards is written, with the old and
+// the new value both in hand, so every transition is checked — not a sample
+// of them — at O(1) cost:
+//   * an acceptor's promise floor moving backwards (P-ACC-2), an accepted
+//     (instance, vround) moving back a round (P-ACC-3) or changing its value
+//     (P-ACC-4): inline in Acceptor's one checked writer, in every product;
+//   * a learner's frontier and delivered count leaving lockstep (P-LRN-3):
+//     inline at the frontier advance in Learner::try_deliver;
+//   * a learner's delivery frontier regressing (P-LRN-2) and two learners
+//     deciding different values for one instance (P-AGR-1, agreement): in
+//     an AgreementMonitor that every learner of one consensus group feeds
+//     from Learner::mark_decided and try_deliver. The simulator's Deployment
+//     keeps one per group; the runtime, with one learner per process, has
+//     none.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <utility>
+#include <deque>
 #include <vector>
 
 #include "check/invariant.hpp"
 #include "common/types.hpp"
 
-namespace gossipc {
-class Acceptor;
-class Learner;
-}  // namespace gossipc
-
 namespace gossipc::check {
 
-/// Shadow of one acceptor's promise/accept state.
-class AcceptorMonitor {
-public:
-    void observe(const Acceptor& acceptor);
-
-    /// Forgets the shadow after a deliberate durable-state wipe (fault
-    /// engine): the next observe() re-baselines instead of reporting the
-    /// wipe as a promise/vote regression. Ordinary crash/recovery (durable
-    /// state preserved) must NOT call this — the monitor stays armed.
-    void forget() {
-        last_floor_ = 0;
-        accepted_.clear();
-    }
-
-private:
-    Round last_floor_ = 0;
-    /// instance -> (vround, value digest) at the previous observation.
-    std::map<InstanceId, std::pair<Round, std::uint64_t>> accepted_;
-};
-
-/// Cross-learner agreement plus per-learner delivery consistency. The same
-/// learner set (same order) must be passed to every observe().
+/// Cross-learner agreement plus per-learner frontier monotonicity over the
+/// learners of one consensus group, fed by the learners themselves
+/// (Learner::set_agreement_monitor). Each call is O(1) amortised.
 class AgreementMonitor {
 public:
-    void observe(const std::vector<const Learner*>& learners);
+    /// A monitor over `learners` learners, indexed 0..learners-1, all with
+    /// their frontier at instance 1.
+    explicit AgreementMonitor(std::size_t learners);
+    // Learners hold its address.
+    AgreementMonitor(const AgreementMonitor&) = delete;
+    AgreementMonitor& operator=(const AgreementMonitor&) = delete;
 
-    /// Re-baselines learner i's frontier shadow after a durable-state wipe.
-    /// Cross-learner agreement stays fully armed: re-learned decisions are
-    /// still checked against the digests recorded before the wipe.
-    void forget_learner(std::size_t i) {
-        if (i < last_frontier_.size()) last_frontier_[i] = 1;
-    }
+    /// Learner `learner` decided `instance` with value digest `digest`.
+    void on_decided(std::size_t learner, InstanceId instance, std::uint64_t digest);
+    /// Learner `learner` delivered `instance` and moved its frontier past it.
+    void on_delivered(std::size_t learner, InstanceId instance);
+
+    /// Re-baselines learner i's frontier after a durable-state wipe, so its
+    /// re-delivery from instance 1 is not reported as a regression. Ordinary
+    /// crash/recovery (durable state preserved) must NOT call this — the
+    /// monitor stays armed. Cross-learner agreement stays fully armed:
+    /// re-learned decisions are still checked against the digests recorded
+    /// before the wipe.
+    void forget_learner(std::size_t i);
 
 private:
-    /// instance -> digest of the first decision observed anywhere.
-    std::map<InstanceId, std::uint64_t> decided_digest_;
-    /// Instances below this are delivered by every learner and cross-checked;
-    /// they can no longer change and are retired from the map.
+    struct Slot {
+        std::uint64_t digest = 0;    ///< first decision seen for the instance
+        bool decided = false;
+        std::uint32_t frontiers = 0;  ///< learners whose frontier sits here
+    };
+
+    Slot& slot(InstanceId instance);
+    /// Moves learner i's frontier to `frontier`, then retires every instance
+    /// below the lowest frontier.
+    void move_frontier(std::size_t i, InstanceId frontier);
+
+    /// Per learner: the frontier this monitor last saw.
+    std::vector<InstanceId> frontier_;
+    /// Instances [floor_, floor_ + window_.size()). Instances below floor_
+    /// are delivered by every learner and can no longer change; they are
+    /// retired. A learner whose frontier is below floor_ (a wiped one
+    /// catching up) is counted at floor_, which it pins.
+    std::deque<Slot> window_;
     InstanceId floor_ = 1;
-    std::vector<InstanceId> last_frontier_;  // per learner
 };
-
-/// Hooks into the registered monitors for events the checks cannot infer on
-/// their own. Only a deliberate wipe needs one: crash/recovery with durable
-/// state preserved keeps every monitor armed, unchanged.
-struct PaxosCheckHandles {
-    /// Clears process i's shadow state (acceptor + learner frontier) after a
-    /// durable-state wipe; without it the monitors would report the wipe
-    /// itself as a safety violation.
-    std::function<void(std::size_t)> forget_process;
-};
-
-/// Registers the standard Paxos safety checks over a deployment's processes:
-/// one AcceptorMonitor per acceptor and one AgreementMonitor across all
-/// learners. The pointed-to components must outlive `checker`.
-PaxosCheckHandles register_paxos_checks(InvariantChecker& checker,
-                                        std::vector<const Learner*> learners,
-                                        std::vector<const Acceptor*> acceptors);
 
 }  // namespace gossipc::check

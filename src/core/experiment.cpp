@@ -9,7 +9,6 @@
 #include <fstream>
 
 #include "check/failover_invariants.hpp"
-#include "check/paxos_invariants.hpp"
 #include "overlay/random_overlay.hpp"
 #include "paxos/message.hpp"
 #include "wire/codec.hpp"
@@ -181,30 +180,26 @@ Deployment::Deployment(const ExperimentConfig& config) : config_(config) {
     }
 
 #if GC_ENABLE_INVARIANTS
-    // Always-on correctness observer (debug/sanitizer builds): Paxos safety
-    // invariants are re-checked continuously while the experiment runs.
+    // Always-on correctness observers (debug/sanitizer builds). Acceptor and
+    // learner checks run inline at every transition; each consensus group is
+    // an independent Paxos instance space, so it gets its own agreement
+    // monitor over that group's learner on every node, and its own
+    // coordinator-succession check on the periodic probe.
+    for (GroupId g = 0; g < config.groups; ++g) {
+        agreement_.push_back(std::make_unique<check::AgreementMonitor>(shards_.size()));
+        for (std::size_t node = 0; node < shards_.size(); ++node) {
+            shards_[node]->process(g).learner().set_agreement_monitor(agreement_.back().get(),
+                                                                     node);
+        }
+    }
     if (config.invariant_probe_events > 0) {
         invariants_ = std::make_unique<check::InvariantChecker>();
-        // Each consensus group is an independent Paxos instance space, so
-        // agreement/acceptor/failover checks register per group over that
-        // group's process on every node.
-        std::vector<check::PaxosCheckHandles> handles;
         for (GroupId g = 0; g < config.groups; ++g) {
-            std::vector<const Learner*> learners;
-            std::vector<const Acceptor*> acceptors;
             std::vector<const PaxosProcess*> procs;
-            for (auto& s : shards_) {
-                learners.push_back(&s->process(g).learner());
-                acceptors.push_back(&s->process(g).acceptor());
-                procs.push_back(&s->process(g));
-            }
-            handles.push_back(check::register_paxos_checks(
-                *invariants_, std::move(learners), std::move(acceptors)));
+            procs.reserve(shards_.size());
+            for (auto& s : shards_) procs.push_back(&s->process(g));
             check::register_failover_checks(*invariants_, std::move(procs));
         }
-        forget_monitor_ = [handles = std::move(handles)](std::size_t id) {
-            for (const auto& h : handles) h.forget_process(id);
-        };
         sim_->set_probe(config.invariant_probe_events, [this] { invariants_->run_all(); });
     }
 #endif
@@ -264,7 +259,7 @@ GossipNode* Deployment::gossip_node(ProcessId id) {
 void Deployment::wipe_process_state(ProcessId id) {
     auto& shard = *shards_.at(static_cast<std::size_t>(id));
     for (GroupId g = 0; g < config_.groups; ++g) shard.process(g).wipe_state();
-    if (forget_monitor_) forget_monitor_(static_cast<std::size_t>(id));
+    for (auto& m : agreement_) m->forget_learner(static_cast<std::size_t>(id));
 }
 
 PaxosSemantics* Deployment::semantics(ProcessId id) {

@@ -4,13 +4,13 @@
 // evaluation section reports.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
+#include "check/paxos_invariants.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
 #include "gossip/gossip_node.hpp"
@@ -127,10 +127,12 @@ struct ExperimentConfig {
     double bandwidth_bytes_per_us = 125.0;
     double jitter_frac = 0.02;
 
-    /// Runtime invariant checking (debug/sanitizer builds only): the Paxos
-    /// safety checks run every this-many simulator events and once more when
-    /// results are collected. 0 disables the periodic probe. No effect in
-    /// builds with GC_INVARIANTS off — the checks compile out.
+    /// Runtime invariant checking (debug/sanitizer builds only): the
+    /// coordinator-succession checks (P-CRD-*) run every this-many simulator
+    /// events and once more when results are collected; 0 disables that
+    /// probe. The acceptor, learner and agreement checks do not sample: they
+    /// run at every state transition whatever this is. No effect in builds
+    /// with GC_INVARIANTS off — the checks compile out.
     std::uint64_t invariant_probe_events = 25'000;
 
     // Observability (DESIGN.md §9). Message-lifecycle tracing is opt-in;
@@ -259,9 +261,9 @@ private:
     /// Failover events (suspect/restore/takeover/step-down) in emission
     /// order; merged into the fault log at collect().
     std::vector<std::string> failover_log_;
-    /// Re-baselines one process's shadow monitors after a state wipe; bound
-    /// only when invariants are compiled in and enabled.
-    std::function<void(std::size_t)> forget_monitor_;
+    /// One cross-learner agreement monitor per consensus group, fed by the
+    /// learners; empty when invariants are compiled out.
+    std::vector<std::unique_ptr<check::AgreementMonitor>> agreement_;
 };
 
 /// Convenience: build, run, and collect in one call.

@@ -34,9 +34,9 @@ public:
     struct Hooks {
         /// Resolves a process's gossip layer; may be empty or return null.
         std::function<GossipNode*(ProcessId)> gossip_node;
-        /// Wipes a process's durable state and re-baselines its shadow
+        /// Wipes a process's durable state and re-baselines its agreement
         /// monitors (Deployment wires this to PaxosProcess::wipe_state +
-        /// PaxosCheckHandles::forget_process).
+        /// AgreementMonitor::forget_learner).
         std::function<void(ProcessId)> wipe_state;
         /// The live overlay, mutated by churn (edge accounting).
         Graph* overlay = nullptr;

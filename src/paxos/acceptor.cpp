@@ -2,10 +2,15 @@
 
 namespace gossipc {
 
+namespace {
+inline long long ll(InstanceId v) { return static_cast<long long>(v); }
+inline unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>(v); }
+}  // namespace
+
 Acceptor::PromiseResult Acceptor::on_phase1a(Round round, InstanceId from_instance) {
     PromiseResult result;
     if (round <= floor_round_) return result;  // already promised higher
-    floor_round_ = round;
+    raise_floor(round);
     result.promised = true;
     for (const auto& [instance, slot] : slots_) {
         if (instance >= from_instance && slot.vrnd > 0) {
@@ -31,32 +36,39 @@ bool Acceptor::on_phase2a(InstanceId instance, Round round, const Value& value) 
     GC_INVARIANT(slot.vrnd == 0 || slot.vrnd != round || slot.vval.digest() == value.digest(),
                  "acceptor re-accepting a different value in round %d of instance %lld "
                  "(digest %016llx -> %016llx)",
-                 round, static_cast<long long>(instance),
-                 static_cast<unsigned long long>(slot.vval.digest()),
-                 static_cast<unsigned long long>(value.digest()));
+                 round, ll(instance), ull(slot.vval.digest()), ull(value.digest()));
     slot.rnd = round;
-    slot.vrnd = round;
-    slot.vval = value;
+    write_vote(instance, slot, round, value);
     return true;
+}
+
+void Acceptor::raise_floor(Round round) {
+    // P-ACC-2: the promise floor only rises (an acceptor never un-promises).
+    GC_INVARIANT(round >= floor_round_, "acceptor promise floor moved backwards: %d -> %d",
+                 floor_round_, round);
+    floor_round_ = round;
+}
+
+void Acceptor::write_vote(InstanceId instance, Slot& slot, Round vround, const Value& value) {
+    if (slot.vrnd > 0) {
+        // P-ACC-3: re-acceptance happens only at a round at least as high.
+        GC_INVARIANT(vround >= slot.vrnd,
+                     "accepted round moved backwards in instance %lld: %d -> %d",
+                     ll(instance), slot.vrnd, vround);
+        // P-ACC-4: the vote cast in a given (instance, vround) is final.
+        GC_INVARIANT(vround > slot.vrnd || slot.vval.digest() == value.digest(),
+                     "accepted value changed within round %d of instance %lld "
+                     "(digest %016llx -> %016llx)",
+                     vround, ll(instance), ull(slot.vval.digest()), ull(value.digest()));
+    }
+    slot.vrnd = vround;
+    slot.vval = value;
 }
 
 std::optional<AcceptedEntry> Acceptor::accepted_in(InstanceId instance) const {
     const auto it = slots_.find(instance);
     if (it == slots_.end() || it->second.vrnd == 0) return std::nullopt;
     return AcceptedEntry{instance, it->second.vrnd, it->second.vval};
-}
-
-std::vector<AcceptedEntry> Acceptor::accepted_snapshot() const {
-    std::vector<AcceptedEntry> out;
-    out.reserve(slots_.size());
-    for (const auto& [instance, slot] : slots_) {
-        if (slot.vrnd > 0) out.push_back(AcceptedEntry{instance, slot.vrnd, slot.vval});
-    }
-    return out;
-}
-
-void Acceptor::forget_below(InstanceId instance) {
-    slots_.erase(slots_.begin(), slots_.lower_bound(instance));
 }
 
 }  // namespace gossipc

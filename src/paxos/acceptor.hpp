@@ -2,7 +2,14 @@
 //
 // Phase 1 is ranged (classic multi-Paxos): a single promise covers every
 // instance from `from_instance` on. Per-instance accepted state is kept in a
-// map and garbage-collected below the locally-learned decision frontier.
+// map for the life of the process: Phase 1 must be able to report every
+// accepted value to a new coordinator, so nothing is dropped short of a
+// storage-loss wipe (reset()).
+//
+// Every write of the promise floor and of a slot's vote goes through one
+// checked writer (raise_floor / write_vote) that holds the old and the new
+// value at once and checks P-ACC-2/3/4 there, on every transition, in every
+// product (simulator and gossipd alike).
 #pragma once
 
 #include <algorithm>
@@ -37,10 +44,6 @@ public:
     /// Highest (vround, value) accepted in `instance`, if any.
     std::optional<AcceptedEntry> accepted_in(InstanceId instance) const;
 
-    /// Drops accepted state below `instance` (locally decided and delivered;
-    /// see DESIGN.md on this benign-model simplification).
-    void forget_below(InstanceId instance);
-
     /// Wipes the durable value ledger (fault engine: crash with storage
     /// loss) but KEEPS the promise floor — the one integer a real
     /// deployment stores in the tiny boot block outside the wiped database
@@ -49,24 +52,20 @@ public:
     /// re-promise r to itself and complete a round-r quorum out of
     /// acceptors the original quorum never touched, carrying a second
     /// value into a round it already used (observed under the runtime
-    /// chaos bridge, DESIGN.md §13).
-    /// Safety-critical: the shadow monitors must be told (DESIGN.md §7).
+    /// chaos bridge, DESIGN.md §13). A wiped slot has no vote left to
+    /// compare against, so the transition checks start afresh on it.
     void reset() { slots_.clear(); }
-
-    std::size_t slot_count() const { return slots_.size(); }
-
-    /// All accepted entries currently held (for the invariant monitors).
-    std::vector<AcceptedEntry> accepted_snapshot() const;
 
 #if GC_ENABLE_INVARIANTS
     /// Test-only corruption hooks: deliberately violate acceptor state so the
-    /// invariant layer's detection can be exercised. Compiled out in release.
-    void debug_set_promise_floor(Round round) { floor_round_ = round; }
+    /// invariant layer's detection can be exercised. They write through the
+    /// same checked writers as the protocol, so a forbidden write dies here.
+    /// Compiled out in release.
+    void debug_set_promise_floor(Round round) { raise_floor(round); }
     void debug_overwrite_accepted(InstanceId instance, Round vround, const Value& value) {
         Slot& slot = slots_[instance];
         slot.rnd = std::max(slot.rnd, vround);
-        slot.vrnd = vround;
-        slot.vval = value;
+        write_vote(instance, slot, vround, value);
     }
 #endif
 
@@ -78,6 +77,11 @@ private:
     };
 
     Round effective_round(InstanceId instance) const;
+    /// The only writer of the promise floor; checks P-ACC-2.
+    void raise_floor(Round round);
+    /// The only writer of a slot's vote; checks P-ACC-3/4 against the vote
+    /// it replaces.
+    void write_vote(InstanceId instance, Slot& slot, Round vround, const Value& value);
 
     Round floor_round_ = 0;
     std::map<InstanceId, Slot> slots_;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "check/paxos_invariants.hpp"
+
 namespace gossipc {
 
 Learner::Learner(int quorum) : quorum_(quorum) {
@@ -69,6 +71,7 @@ void Learner::mark_decided(InstanceId instance, ValueId value_id, std::uint64_t 
     st.decided_digest = digest;
     st.decided_value_id = value_id;
     st.votes.clear();  // no longer needed
+    if (monitor_) monitor_->on_decided(monitor_index_, instance, digest);
     maybe_notify_decided(instance, st, ctx);
     try_deliver(ctx);
 }
@@ -93,6 +96,13 @@ void Learner::try_deliver(CpuContext& ctx) {
         const InstanceId delivered = frontier_;
         inst_.erase(it);
         ++frontier_;
+        // P-LRN-3: in-order gapless delivery starting at instance 1 means the
+        // frontier and the delivered count move in lockstep.
+        GC_INVARIANT(frontier_ == static_cast<InstanceId>(delivered_count_) + 1,
+                     "learner frontier %lld inconsistent with %llu delivered values",
+                     static_cast<long long>(frontier_),
+                     static_cast<unsigned long long>(delivered_count_));
+        if (monitor_) monitor_->on_delivered(monitor_index_, delivered);
         if (deliver_) deliver_(delivered, value, ctx);
     }
 }
@@ -125,10 +135,6 @@ bool Learner::value_missing(InstanceId instance) const {
     const auto it = inst_.find(instance);
     if (it == inst_.end() || !it->second.decided) return false;
     return !it->second.values_by_digest.contains(it->second.decided_digest);
-}
-
-void Learner::truncate_log_below(InstanceId instance) {
-    log_.erase(log_.begin(), log_.lower_bound(instance));
 }
 
 }  // namespace gossipc

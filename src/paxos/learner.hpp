@@ -4,6 +4,7 @@
 // delivered upward strictly in instance order, with no gaps.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -15,6 +16,10 @@
 #include "paxos/message.hpp"
 
 namespace gossipc {
+
+namespace check {
+class AgreementMonitor;
+}
 
 class Learner {
 public:
@@ -41,7 +46,7 @@ public:
     /// Decided value, if the instance is decided and the payload is known.
     std::optional<Value> decided_value(InstanceId instance) const;
     /// Digest of the decided value; known even while the payload is missing.
-    /// nullopt when undecided, or delivered and truncated from the log.
+    /// nullopt when undecided.
     std::optional<std::uint64_t> decided_digest(InstanceId instance) const;
 
     /// Next instance to be delivered (all below are decided and delivered).
@@ -56,19 +61,27 @@ public:
 
     std::uint64_t delivered_count() const { return delivered_count_; }
 
-    /// Truncates the delivered log below `instance` (state-machine snapshot).
-    void truncate_log_below(InstanceId instance);
+    /// Reports every decision and every frontier advance of this learner to
+    /// a cross-learner monitor (P-AGR-1, P-LRN-2), as learner `index` of
+    /// that monitor. Null (the default, and the runtime's wiring) reports
+    /// nothing.
+    void set_agreement_monitor(check::AgreementMonitor* monitor, std::size_t index) {
+        monitor_ = monitor;
+        monitor_index_ = index;
+    }
 
 #if GC_ENABLE_INVARIANTS
     // Test-only corruption hook (invariant death tests): overwrites the
     // delivered-value counter without moving the frontier, breaking the
-    // frontier == delivered + 1 lockstep that P-LRN-3 monitors.
+    // frontier == delivered + 1 lockstep that the next delivery checks
+    // (P-LRN-3).
     void debug_set_delivered_count(std::uint64_t n) { delivered_count_ = n; }
 #endif
 
     /// Wipes ALL learner state (fault engine: crash with storage loss); the
     /// delivery frontier rewinds to 1 and every decision is re-learnable.
-    /// Listeners are kept. The shadow monitors must be told (DESIGN.md §7).
+    /// Listeners and the monitor pointer are kept; the monitor must be told
+    /// (AgreementMonitor::forget_learner, DESIGN.md §7).
     void reset() {
         frontier_ = 1;
         highest_seen_ = 0;
@@ -106,6 +119,8 @@ private:
     std::map<InstanceId, Value> log_;
     DeliverFn deliver_;
     DecidedFn decided_listener_;
+    check::AgreementMonitor* monitor_ = nullptr;
+    std::size_t monitor_index_ = 0;
 };
 
 }  // namespace gossipc

@@ -19,12 +19,10 @@ PaxosProcess::PaxosProcess(const PaxosConfig& config, Transport& transport,
     transport_.set_deliver(
         [this](const PaxosMessagePtr& msg, CpuContext& ctx) { on_message(msg, ctx); });
     learner_.set_deliver([this](InstanceId instance, const Value& value, CpuContext& ctx) {
-        // Note: accepted state is NOT garbage-collected here. Phase 1 must
-        // be able to report accepted values to a new coordinator; dropping
-        // them below the local frontier would let a new round re-propose a
-        // different value into a decided instance. Applications checkpoint
-        // via Acceptor::forget_below / Learner::truncate_log_below once a
-        // prefix is globally stable.
+        // Note: accepted state is never garbage-collected. Phase 1 must be
+        // able to report accepted values to a new coordinator; dropping them
+        // below the local frontier would let a new round re-propose a
+        // different value into a decided instance.
         pending_submissions_.erase(value.id);
         if (tracer_) tracer_->record_decide(ctx.now(), config_.id, instance, config_.group);
         // Composite values (coordinator-side batches, DESIGN.md §14) are

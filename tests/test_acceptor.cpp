@@ -80,16 +80,6 @@ TEST(AcceptorTest, RangedPromiseBlocksAllFutureInstances) {
     EXPECT_TRUE(a.on_phase2a(1000, 10, make_value(0, 1)));
 }
 
-TEST(AcceptorTest, ForgetBelowDropsState) {
-    Acceptor a;
-    for (InstanceId i = 1; i <= 10; ++i) a.on_phase2a(i, 1, make_value(0, i));
-    EXPECT_EQ(a.slot_count(), 10u);
-    a.forget_below(6);
-    EXPECT_EQ(a.slot_count(), 5u);
-    EXPECT_FALSE(a.accepted_in(3).has_value());
-    EXPECT_TRUE(a.accepted_in(7).has_value());
-}
-
 TEST(AcceptorTest, IdempotentReaccept) {
     Acceptor a;
     const Value v = make_value(0, 1);

@@ -68,72 +68,109 @@ TEST(PaxosInvariantDeathTest, AcceptorRejectsSecondValueInSameRound) {
 }
 
 TEST(PaxosInvariantTest, AcceptorMonitorAcceptsLegalTransitions) {
+    // The acceptor checks P-ACC-2/3/4 at every write of its own state;
+    // surviving these legal transitions is the assertion.
     Acceptor acceptor;
-    check::AcceptorMonitor monitor;
-    monitor.observe(acceptor);
     acceptor.on_phase1a(1, 1);
     acceptor.on_phase2a(1, 1, make_value(0, 1));
-    monitor.observe(acceptor);
     acceptor.on_phase1a(3, 1);                      // higher promise
     acceptor.on_phase2a(1, 3, make_value(0, 2));    // re-accept at higher round
     acceptor.on_phase2a(2, 3, make_value(0, 3));
-    monitor.observe(acceptor);
-    acceptor.forget_below(2);                       // GC below the frontier
-    monitor.observe(acceptor);
+    acceptor.on_phase2a(2, 3, make_value(0, 3));    // retransmitted 2a
+    EXPECT_EQ(acceptor.promise_floor(), 3);
+    EXPECT_EQ(acceptor.accepted_in(1)->vround, 3);
 }
 
 TEST(PaxosInvariantDeathTest, AcceptorMonitorCatchesPromiseFloorRegression) {
     Acceptor acceptor;
-    check::AcceptorMonitor monitor;
     acceptor.on_phase1a(5, 1);
-    monitor.observe(acceptor);
-    acceptor.debug_set_promise_floor(2);  // deliberate corruption: P-ACC-2
-    EXPECT_DEATH(monitor.observe(acceptor), "promise floor moved backwards");
+    // Deliberate corruption, P-ACC-2: caught at the write itself.
+    EXPECT_DEATH(acceptor.debug_set_promise_floor(2), "promise floor moved backwards");
 }
 
 TEST(PaxosInvariantDeathTest, AcceptorMonitorCatchesRewrittenVote) {
     Acceptor acceptor;
-    check::AcceptorMonitor monitor;
     acceptor.on_phase2a(1, 3, make_value(0, 1));
-    monitor.observe(acceptor);
     // Deliberate corruption, P-ACC-4: same (instance, vround), different value.
-    acceptor.debug_overwrite_accepted(1, 3, make_value(0, 9));
-    EXPECT_DEATH(monitor.observe(acceptor), "accepted value changed within round");
+    EXPECT_DEATH(acceptor.debug_overwrite_accepted(1, 3, make_value(0, 9)),
+                 "accepted value changed within round");
 }
 
 TEST(PaxosInvariantDeathTest, AcceptorMonitorCatchesVoteRoundRegression) {
     Acceptor acceptor;
-    check::AcceptorMonitor monitor;
     acceptor.on_phase2a(1, 3, make_value(0, 1));
-    monitor.observe(acceptor);
     // Deliberate corruption, P-ACC-3: the recorded vote round moves backwards.
-    acceptor.debug_overwrite_accepted(1, 2, make_value(0, 1));
-    EXPECT_DEATH(monitor.observe(acceptor), "accepted round moved backwards");
+    EXPECT_DEATH(acceptor.debug_overwrite_accepted(1, 2, make_value(0, 1)),
+                 "accepted round moved backwards");
+}
+
+TEST(PaxosInvariantDeathTest, TransientRewrittenVoteIsCaughtAtTheWrite) {
+    // A vote rewritten and put back with nothing looking in between. A
+    // monitor that samples acceptor state before and after sees the same
+    // vote twice and passes; the checked writer sees the rewrite (P-ACC-4).
+    const Value v1 = make_value(0, 1);
+    Acceptor acceptor;
+    ASSERT_TRUE(acceptor.on_phase2a(1, 3, v1));
+    EXPECT_DEATH(
+        {
+            acceptor.debug_overwrite_accepted(1, 3, make_value(0, 2));
+            acceptor.debug_overwrite_accepted(1, 3, v1);
+        },
+        "accepted value changed within round");
+    EXPECT_EQ(acceptor.accepted_in(1)->value, v1);
+}
+
+TEST(PaxosInvariantDeathTest, TransientFrontierRewindIsCaughtAtTheDelivery) {
+    // A learner loses its state without the monitor being told and catches
+    // up again to the same frontier and count. Sampled before and after, it
+    // looks unchanged; the monitor sees the first re-delivery (P-LRN-2).
+    CpuContext ctx{SimTime::zero()};
+    Learner learner(2);
+    check::AgreementMonitor monitor(1);
+    learner.set_agreement_monitor(&monitor, 0);
+    const Value v1 = make_value(0, 1);
+    const Value v2 = make_value(0, 2);
+    const DecisionMsg d1{0, 1, v1.id, v1.digest(), v1};
+    const DecisionMsg d2{0, 2, v2.id, v2.digest(), v2};
+    learner.on_decision(d1, ctx);
+    learner.on_decision(d2, ctx);
+    EXPECT_DEATH(
+        {
+            learner.reset();
+            learner.on_decision(d1, ctx);
+            learner.on_decision(d2, ctx);
+        },
+        "delivery frontier moved backwards");
+    EXPECT_EQ(learner.frontier(), 3);
 }
 
 TEST(PaxosInvariantDeathTest, LearnerMonitorCatchesFrontierRegression) {
     CpuContext ctx{SimTime::zero()};
     Learner learner(2);
-    check::AgreementMonitor monitor;
+    check::AgreementMonitor monitor(1);
+    learner.set_agreement_monitor(&monitor, 0);
     const Value v = make_value(0, 1);
-    learner.on_decision(DecisionMsg{0, 1, v.id, v.digest(), v}, ctx);
-    monitor.observe({&learner});
+    const DecisionMsg d{0, 1, v.id, v.digest(), v};
+    learner.on_decision(d, ctx);
     // A crash with storage loss rewinds the frontier; a rewind the monitor
-    // was not told about (forget_learner) must trip P-LRN-2.
+    // was not told about (forget_learner) must trip P-LRN-2 at the next
+    // delivery.
     learner.reset();
-    EXPECT_DEATH(monitor.observe({&learner}), "delivery frontier moved backwards");
+    EXPECT_DEATH(learner.on_decision(d, ctx), "delivery frontier moved backwards");
 }
 
 TEST(PaxosInvariantDeathTest, LearnerMonitorCatchesDeliveryCountMismatch) {
     CpuContext ctx{SimTime::zero()};
     Learner learner(2);
-    check::AgreementMonitor monitor;
-    const Value v = make_value(0, 1);
-    learner.on_decision(DecisionMsg{0, 1, v.id, v.digest(), v}, ctx);
+    const Value v1 = make_value(0, 1);
+    const Value v2 = make_value(0, 2);
+    learner.on_decision(DecisionMsg{0, 1, v1.id, v1.digest(), v1}, ctx);
     // Deliberate corruption, P-LRN-3: the delivered-value counter decouples
-    // from the frontier, so gapless in-order delivery no longer holds.
+    // from the frontier, so gapless in-order delivery no longer holds. The
+    // next frontier advance checks the lockstep.
     learner.debug_set_delivered_count(5);
-    EXPECT_DEATH(monitor.observe({&learner}), "inconsistent with");
+    EXPECT_DEATH(learner.on_decision(DecisionMsg{0, 2, v2.id, v2.digest(), v2}, ctx),
+                 "inconsistent with");
 }
 
 TEST(PaxosInvariantDeathTest, LearnerRejectsConflictingDecisions) {
@@ -151,9 +188,10 @@ TEST(PaxosInvariantDeathTest, LearnerRejectsConflictingDecisions) {
 TEST(PaxosInvariantDeathTest, CorruptedAcceptorsTripAgreementCheck) {
     // Three acceptors decide v1 in instance 1; a quorum of their votes is
     // shown to learner A. The acceptors' slots are then deliberately
-    // corrupted to v2, votes are re-derived from the corrupted state and
-    // shown to learner B — which decides differently. The cross-learner
-    // agreement monitor (P-AGR-1) must catch the divergence.
+    // corrupted to v2 (at a higher round, which no Phase 1 reporting v1
+    // preceded), votes are re-derived from the corrupted state and shown to
+    // learner B — which decides differently. The cross-learner agreement
+    // monitor (P-AGR-1) must catch the divergence at B's decision.
     const Value v1 = make_value(0, 1);
     const Value v2 = make_value(7, 9);
     std::vector<Acceptor> acceptors(3);
@@ -162,39 +200,61 @@ TEST(PaxosInvariantDeathTest, CorruptedAcceptorsTripAgreementCheck) {
     CpuContext ctx{SimTime::zero()};
     Learner learner_a(2);
     Learner learner_b(2);
-    check::AgreementMonitor monitor;
-    for (ProcessId id = 0; id < 2; ++id) {
-        const auto e = acceptors[static_cast<std::size_t>(id)].accepted_in(1);
-        ASSERT_TRUE(e.has_value());
-        learner_a.on_phase2b(Phase2bMsg{id, 1, e->vround, e->value.id, e->value.digest()},
-                             ctx);
-    }
+    check::AgreementMonitor monitor(2);
+    learner_a.set_agreement_monitor(&monitor, 0);
+    learner_b.set_agreement_monitor(&monitor, 1);
+    const auto show_votes = [&acceptors, &ctx](Learner& learner) {
+        for (ProcessId id = 0; id < 2; ++id) {
+            const auto e = acceptors[static_cast<std::size_t>(id)].accepted_in(1);
+            ASSERT_TRUE(e.has_value());
+            learner.on_phase2b(Phase2bMsg{id, 1, e->vround, e->value.id, e->value.digest()},
+                               ctx);
+        }
+    };
+    show_votes(learner_a);
     EXPECT_TRUE(learner_a.knows_decision(1));
-    monitor.observe({&learner_a, &learner_b});  // consistent so far
 
-    for (Acceptor& a : acceptors) a.debug_overwrite_accepted(1, 1, v2);
-    for (ProcessId id = 0; id < 2; ++id) {
-        const auto e = acceptors[static_cast<std::size_t>(id)].accepted_in(1);
-        ASSERT_TRUE(e.has_value());
-        learner_b.on_phase2b(Phase2bMsg{id, 1, e->vround, e->value.id, e->value.digest()},
-                             ctx);
-    }
-    EXPECT_TRUE(learner_b.knows_decision(1));
-    EXPECT_DEATH(monitor.observe({&learner_a, &learner_b}), "agreement violated");
+    for (Acceptor& a : acceptors) a.debug_overwrite_accepted(1, 2, v2);
+    EXPECT_DEATH(show_votes(learner_b), "agreement violated");
+}
+
+TEST(PaxosInvariantDeathTest, AgreementMonitorStaysArmedAcrossAWipe) {
+    // A sanctioned wipe (the monitor is told) re-baselines the wiped
+    // learner's frontier only: its re-learned decisions are still checked
+    // against those the other learners made (P-AGR-1).
+    CpuContext ctx{SimTime::zero()};
+    Learner l1(2);
+    Learner l2(2);
+    check::AgreementMonitor monitor(2);
+    l1.set_agreement_monitor(&monitor, 0);
+    l2.set_agreement_monitor(&monitor, 1);
+    const Value v = make_value(0, 1);
+    const Value other = make_value(0, 2);
+    l1.on_decision(DecisionMsg{0, 1, v.id, v.digest(), v}, ctx);
+    l1.reset();
+    monitor.forget_learner(0);
+    EXPECT_DEATH(l1.on_decision(DecisionMsg{0, 1, other.id, other.digest(), other}, ctx),
+                 "agreement violated");
 }
 
 TEST(PaxosInvariantTest, AgreementMonitorAcceptsConsistentLearners) {
     CpuContext ctx{SimTime::zero()};
     Learner l1(2);
     Learner l2(2);
-    check::AgreementMonitor monitor;
+    check::AgreementMonitor monitor(2);
+    l1.set_agreement_monitor(&monitor, 0);
+    l2.set_agreement_monitor(&monitor, 1);
     const Value v = make_value(0, 1);
-    l1.on_decision(DecisionMsg{0, 1, v.id, v.digest(), v}, ctx);
-    monitor.observe({&l1, &l2});
-    l2.on_decision(DecisionMsg{0, 1, v.id, v.digest(), v}, ctx);
-    monitor.observe({&l1, &l2});
+    const DecisionMsg d{0, 1, v.id, v.digest(), v};
+    l1.on_decision(d, ctx);
+    l2.on_decision(d, ctx);
     EXPECT_EQ(l1.frontier(), 2);
     EXPECT_EQ(l2.frontier(), 2);
+    // A wipe the monitor is told about re-delivers from instance 1 cleanly.
+    l1.reset();
+    monitor.forget_learner(0);
+    l1.on_decision(d, ctx);
+    EXPECT_EQ(l1.frontier(), 2);
 }
 
 // --- Coordinator-succession invariants --------------------------------------
@@ -347,8 +407,9 @@ TEST(InvariantCheckerTest, DeploymentRunsChecksDuringExperiment) {
     config.invariant_probe_events = 1000;
     Deployment deployment(config);
     ASSERT_NE(deployment.invariants(), nullptr);
-    // paxos-agreement, paxos-acceptors, coordinator-succession.
-    EXPECT_EQ(deployment.invariants()->check_count(), 3u);
+    // coordinator-succession; the acceptor, learner and agreement checks run
+    // at the transitions, not on the probe.
+    EXPECT_EQ(deployment.invariants()->check_count(), 1u);
     const ExperimentResult result = deployment.run();
     EXPECT_GT(result.decisions_at_coordinator, 0u);
     // The probe fired during the run and collect() ran the final sweep.

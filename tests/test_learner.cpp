@@ -137,21 +137,6 @@ TEST(LearnerTest, DecidedValueFromLogAndInFlight) {
     EXPECT_EQ(f.learner.delivered_count(), 1u);
 }
 
-TEST(LearnerTest, TruncateLogBelow) {
-    LearnerFixture f;
-    for (InstanceId i = 1; i <= 5; ++i) {
-        const Value v = make_value(0, i);
-        f.give_2a(i, 1, v);
-        f.learner.on_decision(DecisionMsg{0, i, v.id, v.digest()}, f.ctx);
-    }
-    EXPECT_EQ(f.learner.delivered_count(), 5u);
-    f.learner.truncate_log_below(4);
-    EXPECT_FALSE(f.learner.decided_value(2).has_value());
-    EXPECT_TRUE(f.learner.decided_value(4).has_value());
-    // knows_decision still true below the frontier (delivered history).
-    EXPECT_TRUE(f.learner.knows_decision(2));
-}
-
 TEST(LearnerTest, LateMessagesForDeliveredInstancesIgnored) {
     LearnerFixture f;
     const Value v = make_value(0, 1);
