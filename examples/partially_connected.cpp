@@ -70,7 +70,7 @@ int main() {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), n, {});
     for (const auto& [a, b] : overlay.edges()) net.allow_link(a, b);
-    DirectTransport transport(net, 0);
+    PortTransport transport(net.node(0), n);
     PaxosConfig pc;
     pc.n = n;
     pc.id = 0;

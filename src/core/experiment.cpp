@@ -97,9 +97,10 @@ Deployment::Deployment(const ExperimentConfig& config) : config_(config) {
             gp.adaptive_fanout = config.adaptive_fanout;
             gossip_nodes_.push_back(std::make_unique<GossipNode>(
                 network_->node(id), overlay_->neighbors(id), gp, *hooks_.back()));
-            transports_.push_back(std::make_unique<GossipTransport>(*gossip_nodes_.back()));
+            transports_.push_back(std::make_unique<PortTransport>(*gossip_nodes_.back()));
         } else {
-            transports_.push_back(std::make_unique<DirectTransport>(*network_, id));
+            transports_.push_back(
+                std::make_unique<PortTransport>(network_->node(id), network_->size()));
         }
         shards_.push_back(
             std::make_unique<group::GroupShard>(pc, *transports_.back(), config.groups));

@@ -24,8 +24,7 @@
 #include "stats/counters.hpp"
 #include "stats/registry.hpp"
 #include "trace/tracer.hpp"
-#include "transport/direct_transport.hpp"
-#include "transport/gossip_transport.hpp"
+#include "transport/port_transport.hpp"
 #include "workload/workload.hpp"
 
 namespace gossipc {

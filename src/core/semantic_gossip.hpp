@@ -11,7 +11,7 @@
 //
 // For finer control, build a Deployment and drive the Simulator directly, or
 // assemble the layers by hand (Network -> GossipNode(+hooks) ->
-// GossipTransport -> PaxosProcess -> Workload).
+// PortTransport -> PaxosProcess -> Workload).
 #pragma once
 
 #include "core/experiment.hpp"
@@ -33,6 +33,5 @@
 #include "stats/saturation.hpp"
 #include "stats/timeseries.hpp"
 #include "trace/tracer.hpp"
-#include "transport/direct_transport.hpp"
-#include "transport/gossip_transport.hpp"
+#include "transport/port_transport.hpp"
 #include "workload/workload.hpp"

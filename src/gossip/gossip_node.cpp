@@ -23,43 +23,34 @@ std::string PullDigest::describe() const {
     return oss.str();
 }
 
-namespace {
+NodePort::NodePort(Node& node, ReceiveFn receive) : node_(node) {
+    node.set_receive_handler(
+        [self = node.id(), receive = std::move(receive)](const NetMessage& msg, CpuContext& ctx) {
+            if (!msg.body) return;
+            const bool reversed = receive(msg.from, msg.body, ctx);
+            // G-AGG-1 (receive side): every aggregate in a simulation was
+            // built by the same hooks that must reverse it before delivery.
+            GC_INVARIANT(reversed,
+                         "aggregated gossip message from node %d was not reversed at node %d",
+                         msg.from, self);
+        });
+}
 
-/// The simulator host: tasks queue on the node's serial CPU, timers on the
-/// simulator, and sends are charged to the running task.
-class NodePort final : public GossipPort {
-public:
-    explicit NodePort(Node& node) : node_(node) {}
-
-    ProcessId self() const override { return node_.id(); }
-    SimTime now() const override { return node_.simulator().now(); }
-    void post(Task task) override { node_.post(std::move(task)); }
-    void after(SimTime delay, std::function<void()> fn) override {
-        node_.simulator().schedule_after(delay, std::move(fn));
-    }
-    bool send(ProcessId peer, BodyPtr body, CpuContext& ctx) override {
-        node_.transmit_in_task(NetMessage{node_.id(), peer, std::move(body)}, ctx);
-        return true;
-    }
-
-private:
-    Node& node_;
-};
-
-}  // namespace
+void NodePort::every(SimTime period, Task task) {
+    node_.simulator().schedule_after(period, [this, period, task = std::move(task)]() mutable {
+        node_.post(task);
+        every(period, std::move(task));
+    });
+}
 
 GossipNode::GossipNode(Node& node, std::vector<ProcessId> peers, Params params,
                        GossipHooks& hooks)
-    : GossipNode(std::make_unique<NodePort>(node), std::move(peers), params, hooks) {
-    node.set_receive_handler([this](const NetMessage& msg, CpuContext& ctx) {
-        if (!msg.body) return;
-        const bool reversed = receive(msg.from, *msg.body, ctx);
-        // G-AGG-1 (receive side): every aggregate in a simulation was built
-        // by the same hooks that must reverse it before delivery.
-        GC_INVARIANT(reversed, "aggregated gossip message from node %d was not reversed at node %d",
-                     msg.from, self_);
-    });
-}
+    : GossipNode(std::make_unique<NodePort>(
+                     node,
+                     [this](ProcessId from, const BodyPtr& body, CpuContext& ctx) {
+                         return receive(from, *body, ctx);
+                     }),
+                 std::move(peers), params, hooks) {}
 
 GossipNode::GossipNode(std::unique_ptr<GossipPort> port, std::vector<ProcessId> peers,
                        Params params, GossipHooks& hooks)

@@ -12,9 +12,10 @@
 // but notes the techniques extend to other strategies.
 //
 // This is the only gossip pipeline: the engine reaches its host through a
-// GossipPort, which the simulator implements over a Node (its CPU and the
-// simulated network) and the runtime's RealTransport over its reactor and
-// peer channel.
+// GossipPort, which the simulator implements over a Node (NodePort: its CPU
+// and the simulated network) and the runtime's RealTransport over its
+// reactor and peer channel. The protocol transport (PortTransport) runs over
+// the same two ports.
 #pragma once
 
 #include <cstdint>
@@ -74,12 +75,16 @@ private:
 
 enum class GossipStrategy { Push, Pull, PushPull };
 
-/// What the gossip engine needs from its host. The host hands the gossip
-/// bodies it receives (envelopes, pull digests) to GossipNode::receive().
+/// What the gossip engine and the protocol transport need from their host.
+/// The host hands the bodies it receives to GossipNode::receive() or
+/// PortTransport::receive().
 class GossipPort {
 public:
     using Task = std::function<void(CpuContext&)>;
 
+    GossipPort() = default;
+    GossipPort(const GossipPort&) = delete;  // timers and tasks hold its address
+    GossipPort& operator=(const GossipPort&) = delete;
     virtual ~GossipPort() = default;
 
     virtual ProcessId self() const = 0;
@@ -88,9 +93,43 @@ public:
     virtual void post(Task task) = 0;
     /// Calls `fn` outside any CPU task once `delay` has passed.
     virtual void after(SimTime delay, std::function<void()> fn) = 0;
+    /// Runs `task` on the host's CPU every `period`, starting one period
+    /// from now, for as long as the port lives. Ticks that fall while the
+    /// process is down are dropped; the chain is not.
+    virtual void every(SimTime period, Task task) = 0;
     /// Sends `body` to `peer` from within a running task; false if the host
     /// refused it.
     virtual bool send(ProcessId peer, BodyPtr body, CpuContext& ctx) = 0;
+};
+
+/// The simulator host: tasks queue on the node's serial CPU, timers on the
+/// simulator, and sends are charged to the running task.
+class NodePort final : public GossipPort {
+public:
+    /// Takes one received body; false if it held an aggregate the receiver
+    /// could not reverse.
+    using ReceiveFn = std::function<bool(ProcessId from, const BodyPtr& body, CpuContext& ctx)>;
+
+    /// Installs itself as `node`'s receive handler, handing every arriving
+    /// body to `receive`.
+    NodePort(Node& node, ReceiveFn receive);
+
+    ProcessId self() const override { return node_.id(); }
+    SimTime now() const override { return node_.simulator().now(); }
+    void post(Task task) override { node_.post(std::move(task)); }
+    void after(SimTime delay, std::function<void()> fn) override {
+        node_.simulator().schedule_after(delay, std::move(fn));
+    }
+    /// A re-arm chain on the simulator, outside the CPU, so it survives
+    /// crash/recovery: a tick that lands on a crashed node is dropped.
+    void every(SimTime period, Task task) override;
+    bool send(ProcessId peer, BodyPtr body, CpuContext& ctx) override {
+        node_.transmit_in_task(NetMessage{node_.id(), peer, std::move(body)}, ctx);
+        return true;
+    }
+
+private:
+    Node& node_;
 };
 
 class GossipNode {

@@ -113,8 +113,12 @@ void Reactor::iterate(SimTime max_wait) {
         order.push_back(fd);
     }
 
+    // Non-zero waits round up so a timer is never polled for early; a zero
+    // wait (pending posts, or a timer already due) must not block at all.
     const int timeout_ms =
-        static_cast<int>(std::min<std::int64_t>(wait.as_nanos() / 1'000'000 + 1, 1000));
+        wait == SimTime::zero()
+            ? 0
+            : static_cast<int>(std::min<std::int64_t>(wait.as_nanos() / 1'000'000 + 1, 1000));
     ++stats_.polls;
     const int rc = ::poll(pfds.empty() ? nullptr : pfds.data(),
                           static_cast<nfds_t>(pfds.size()), timeout_ms);

@@ -10,7 +10,8 @@
 // simulator gives a Node's serial CPU.
 //
 // schedule_after/schedule_every mirror Simulator::schedule_after and the
-// transports' schedule_every re-arming chain; post() mirrors Node::post.
+// simulator port's re-arming chain (NodePort::every); post() mirrors
+// Node::post.
 #pragma once
 
 #include <cstdint>

@@ -6,112 +6,93 @@
 
 namespace gossipc::runtime {
 
-/// The runtime host of the gossip engine: tasks and timers run on the
-/// reactor behind the transport's liveness guard, and sends go out encoded
-/// on the peer channel.
-class RealTransport::GossipHost final : public GossipPort {
+/// The runtime host port: tasks and timers run on the reactor, and sends go
+/// out encoded on the peer channel. Reactor posts and one-shot timers cannot
+/// be cancelled, so they hold a weak liveness token that dies with the port;
+/// periodic timers are cancelled when it is destroyed.
+class RealTransport::ReactorPort final : public GossipPort {
 public:
-    explicit GossipHost(RealTransport& transport) : t_(transport) {}
+    ReactorPort(Reactor& reactor, PeerChannel& chan, Mode mode)
+        : reactor_(reactor), chan_(chan), mode_(mode) {}
+    ~ReactorPort() override {
+        for (const Reactor::TimerId id : timers_) reactor_.cancel_timer(id);
+    }
 
-    ProcessId self() const override { return t_.self(); }
-    SimTime now() const override { return t_.reactor_.now(); }
-    void post(Task task) override { t_.post(std::move(task)); }
+    ProcessId self() const override { return chan_.self(); }
+    SimTime now() const override { return reactor_.now(); }
+    void post(Task task) override {
+        reactor_.post([this, task = std::move(task), alive = std::weak_ptr<bool>(alive_)] {
+            if (alive.expired()) return;
+            CpuContext ctx(reactor_.now());
+            task(ctx);
+        });
+    }
     void after(SimTime delay, std::function<void()> fn) override {
-        t_.schedule(delay, [fn = std::move(fn)](CpuContext&) { fn(); });
+        reactor_.schedule_after(delay,
+                                [fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
+                                    if (!alive.expired()) fn();
+                                });
+    }
+    /// Deadline-armed and backlog-skipping (Reactor::schedule_every); the
+    /// tick runs straight from the timer.
+    void every(SimTime period, Task task) override {
+        timers_.push_back(reactor_.schedule_every(period, [this, task = std::move(task)] {
+            CpuContext ctx(reactor_.now());
+            task(ctx);
+        }));
     }
     bool send(ProcessId peer, BodyPtr body, CpuContext& /*ctx*/) override {
-        return t_.send_body(peer, *body);
+        const std::vector<std::uint8_t> bytes = wire::encode_body(*body);
+        return chan_.send_body(peer, bytes, reliable_over_datagrams(*body, mode_));
     }
 
 private:
-    RealTransport& t_;
+    Reactor& reactor_;
+    PeerChannel& chan_;
+    Mode mode_;
+    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);  ///< liveness token
+    std::vector<Reactor::TimerId> timers_;  ///< periodic chains
 };
 
 RealTransport::RealTransport(Reactor& reactor, PeerChannel& chan, Params params,
                              GossipHooks& hooks)
-    : reactor_(reactor), chan_(chan), params_(std::move(params)) {
+    : reactor_(reactor), chan_(chan) {
     chan_.set_body_handler(
         [this](ProcessId from, std::span<const std::uint8_t> payload) {
             on_body(from, payload);
         });
-    if (!gossip_mode()) {
+    auto port = std::make_unique<ReactorPort>(reactor_, chan_, params.mode);
+    if (params.mode == Mode::Direct) {
         for (ProcessId p = 0; p < chan_.size(); ++p) {
-            if (p != self()) chan_.link(p);
+            if (p != chan_.self()) chan_.link(p);
         }
+        run_over(std::move(port), chan_.size());
         return;
     }
-    for (const ProcessId p : params_.neighbors) chan_.link(p);
-    gossip_ = std::make_unique<GossipNode>(std::make_unique<GossipHost>(*this),
-                                           params_.neighbors, GossipNode::Params{}, hooks);
-    gossip_->set_deliver([this](const GossipAppMessage& msg, CpuContext& ctx) {
-        if (msg.payload && msg.payload->kind() == BodyKind::Paxos) {
-            deliver_up(std::static_pointer_cast<const PaxosMessage>(msg.payload), ctx);
-        }
-    });
+    for (const ProcessId p : params.neighbors) chan_.link(p);
+    gossip_ = std::make_unique<GossipNode>(std::move(port), params.neighbors,
+                                           GossipNode::Params{}, hooks);
+    run_over(*gossip_);
 }
 
-RealTransport::~RealTransport() {
-    *alive_ = false;
-    chan_.set_body_handler(nullptr);
-    for (const Reactor::TimerId id : timers_) reactor_.cancel_timer(id);
-}
+RealTransport::~RealTransport() { chan_.set_body_handler(nullptr); }
 
 RealTransport::Counters RealTransport::counters() const {
     Counters c;
-    if (gossip_mode()) static_cast<GossipNode::Counters&>(c) = gossip_->counters();
+    if (gossip_) static_cast<GossipNode::Counters&>(c) = gossip_->counters();
     c.decode_errors = decode_errors_;
     return c;
 }
 
 void RealTransport::add_neighbor(ProcessId peer) {
-    if (!gossip_mode() || peer == self()) return;
+    if (!gossip_ || peer == self()) return;
     gossip_->add_peer(peer);
     chan_.link(peer);
 }
 
 void RealTransport::remove_neighbor(ProcessId peer) {
-    if (gossip_mode()) gossip_->remove_peer(peer);
+    if (gossip_) gossip_->remove_peer(peer);
 }
-
-// -- sending ----------------------------------------------------------------
-
-void RealTransport::broadcast(PaxosMessagePtr msg, CpuContext& ctx) {
-    note_origination(ctx.now());
-    if (gossip_mode()) {
-        GossipAppMessage app;
-        app.id = msg->unique_key();
-        app.origin = self();
-        app.payload = std::move(msg);
-        gossip_->broadcast(std::move(app), ctx);
-        return;
-    }
-    deliver_up(msg, ctx);  // local delivery, as with gossip broadcast
-    for (ProcessId p = 0; p < chan_.size(); ++p) {
-        if (p != self()) send_body(p, *msg);
-    }
-}
-
-void RealTransport::send(ProcessId to, PaxosMessagePtr msg, CpuContext& ctx) {
-    if (gossip_mode()) {
-        // Gossip provides no unicast: one-to-one messages are broadcast and
-        // delivered to all participants (Section 3.1).
-        broadcast(std::move(msg), ctx);
-        return;
-    }
-    if (to == self()) {
-        deliver_up(msg, ctx);
-        return;
-    }
-    note_origination(ctx.now());
-    send_body(to, *msg);
-}
-
-bool RealTransport::send_body(ProcessId to, const MessageBody& body) {
-    const std::vector<std::uint8_t> bytes = wire::encode_body(body);
-    return chan_.send_body(to, bytes, reliable_over_datagrams(body, params_.mode));
-}
-
-// -- receiving --------------------------------------------------------------
 
 void RealTransport::on_body(ProcessId from, std::span<const std::uint8_t> payload) {
     const wire::DecodedBody decoded = wire::decode_body(payload);
@@ -120,15 +101,7 @@ void RealTransport::on_body(ProcessId from, std::span<const std::uint8_t> payloa
         return;
     }
     CpuContext ctx(reactor_.now());
-    if (decoded.body->kind() == BodyKind::Paxos) {
-        // Direct mode ships bare protocol bodies.
-        deliver_up(std::static_pointer_cast<const PaxosMessage>(decoded.body), ctx);
-        return;
-    }
-    // Gossip envelopes and pull digests; the engine ignores other kinds. An
-    // aggregate these hooks cannot reverse (say, from a peer running other
-    // semantics) is as unusable as a malformed frame.
-    if (gossip_mode() && !gossip_->receive(from, *decoded.body, ctx)) ++decode_errors_;
+    if (!receive(from, decoded.body, ctx)) ++decode_errors_;
 }
 
 // -- reliability policy ------------------------------------------------------
@@ -181,34 +154,6 @@ bool reliable_over_datagrams(const MessageBody& body, RealTransport::Mode mode) 
             return false;
     }
     return false;  // unreachable: the switch above is exhaustive
-}
-
-// -- timers / tasks ---------------------------------------------------------
-
-void RealTransport::schedule(SimTime delay, std::function<void(CpuContext&)> fn) {
-    reactor_.schedule_after(
-        delay, [this, fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
-            const auto guard = alive.lock();
-            if (!guard || !*guard) return;
-            CpuContext ctx(reactor_.now());
-            fn(ctx);
-        });
-}
-
-void RealTransport::schedule_every(SimTime period, std::function<void(CpuContext&)> fn) {
-    timers_.push_back(reactor_.schedule_every(period, [this, fn = std::move(fn)] {
-        CpuContext ctx(reactor_.now());
-        fn(ctx);
-    }));
-}
-
-void RealTransport::post(std::function<void(CpuContext&)> fn) {
-    reactor_.post([this, fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
-        const auto guard = alive.lock();
-        if (!guard || !*guard) return;
-        CpuContext ctx(reactor_.now());
-        fn(ctx);
-    });
 }
 
 }  // namespace gossipc::runtime

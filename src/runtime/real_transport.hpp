@@ -1,18 +1,21 @@
-// Transport over real sockets (DESIGN.md §10, §12): the socket-backed
-// counterpart of DirectTransport/GossipTransport. PaxosProcess and
-// FailureDetector depend only on the Transport interface, so the protocol
-// stack runs over this transport unmodified. The socket layer underneath is
-// a PeerChannel — framed TCP streams (ConnectionManager) or clustered UDP
-// datagrams (UdpLink) — selected by gossipd --transport.
+// Transport over real sockets (DESIGN.md §10, §12): the runtime host of the
+// one protocol transport, PortTransport. PaxosProcess and FailureDetector
+// depend only on the Transport interface, so the protocol stack runs over
+// this transport unmodified. The socket layer underneath is a PeerChannel —
+// framed TCP streams (ConnectionManager) or clustered UDP datagrams
+// (UdpLink) — selected by gossipd --transport.
 //
-// Two modes, matching the simulator's setups:
+// What this class adds to PortTransport is the host port: tasks and timers
+// run on the reactor behind a liveness guard, sends are encoded onto the
+// channel with the reliability policy below, and received frames are decoded
+// and handed to PortTransport::receive (a frame that fails to decode, or an
+// aggregate the hooks cannot reverse, counts as a decode error). The mode
+// picks what PortTransport runs over, matching the simulator's setups:
 //  * Direct — point-to-point unicast to every cluster member (the Baseline
-//    setup); broadcast fans out one encoded frame per peer.
+//    setup); broadcast sends one encoded body per peer.
 //  * Gossip — dissemination over the overlay neighbors by the simulator's
-//    own gossip engine: this transport hosts a GossipNode (default Params:
-//    push, flood fanout, no batching) on the reactor and the peer channel.
-//    Decoded envelopes go to the engine's receive path; the engine's sends
-//    are encoded onto the channel. Hop counts survive the codec.
+//    own gossip engine: a GossipNode (default Params: push, flood fanout, no
+//    batching) on the same port. Hop counts survive the codec.
 //
 // CpuContext is constructed from the reactor's monotonic clock; consume()
 // advances only the context's virtual time (the real CPU cost is the real
@@ -26,11 +29,11 @@
 #include "gossip/gossip_node.hpp"
 #include "runtime/peer_channel.hpp"
 #include "runtime/reactor.hpp"
-#include "transport/transport.hpp"
+#include "transport/port_transport.hpp"
 
 namespace gossipc::runtime {
 
-class RealTransport final : public Transport {
+class RealTransport final : public PortTransport {
 public:
     enum class Mode { Direct, Gossip };
 
@@ -54,21 +57,10 @@ public:
     /// `chan`'s body handler and links the relevant peers.
     RealTransport(Reactor& reactor, PeerChannel& chan, Params params,
                   GossipHooks& hooks);
-    /// Detaches from the channel and invalidates the pending tasks and
+    /// Detaches from the channel; the port invalidates its pending tasks and
     /// timers: the chaos bridge tears transports down mid-run, so everything
     /// posted to the reactor must survive the teardown.
     ~RealTransport() override;
-
-    RealTransport(const RealTransport&) = delete;
-    RealTransport& operator=(const RealTransport&) = delete;
-
-    // Transport interface — the seam the protocol stack plugs into.
-    ProcessId self() const override { return chan_.self(); }
-    void broadcast(PaxosMessagePtr msg, CpuContext& ctx) override;
-    void send(ProcessId to, PaxosMessagePtr msg, CpuContext& ctx) override;
-    void schedule(SimTime delay, std::function<void(CpuContext&)> fn) override;
-    void schedule_every(SimTime period, std::function<void(CpuContext&)> fn) override;
-    void post(std::function<void(CpuContext&)> fn) override;
 
     Counters counters() const;
 
@@ -78,21 +70,13 @@ public:
     void remove_neighbor(ProcessId peer);
 
 private:
-    class GossipHost;
+    class ReactorPort;
 
-    bool gossip_mode() const { return params_.mode == Mode::Gossip; }
     void on_body(ProcessId from, std::span<const std::uint8_t> payload);
-    bool send_body(ProcessId to, const MessageBody& body);
 
     Reactor& reactor_;
     PeerChannel& chan_;
-    Params params_;
-
-    /// Guards reactor tasks/timers posted by this transport: posts cannot
-    /// be cancelled and the chaos bridge destroys transports mid-run.
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-    std::vector<Reactor::TimerId> timers_;  ///< periodic chains, cancelled on destroy
-    std::unique_ptr<GossipNode> gossip_;    ///< set iff gossip_mode(), on a GossipHost
+    std::unique_ptr<GossipNode> gossip_;  ///< Gossip mode only; owns the port
     std::uint64_t decode_errors_ = 0;
 };
 

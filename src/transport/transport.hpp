@@ -1,12 +1,12 @@
 // Communication abstraction between Paxos and the substrate (Figure 1/2).
 //
-// The same Paxos implementation runs over either:
-//  * DirectTransport — point-to-point channels, fully connected star around
-//    the coordinator (the paper's Baseline setup); or
-//  * GossipTransport — broadcast/deliver over the gossip layer, where even
-//    one-to-one sends become broadcasts (the paper's Gossip and Semantic
-//    Gossip setups: "Phase 1b messages ... will be delivered to all
-//    participants").
+// The same Paxos implementation runs over either point-to-point channels
+// (the paper's Baseline setup) or broadcast/deliver over the gossip layer,
+// where even one-to-one sends become broadcasts (the paper's Gossip and
+// Semantic Gossip setups). PortTransport (transport/port_transport.hpp) is
+// the one mapping onto both substrates, in the simulator and in the real
+// runtime alike; the other implementations (GroupTransport, GatedTransport)
+// are facades over it.
 #pragma once
 
 #include <functional>

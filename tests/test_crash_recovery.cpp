@@ -74,7 +74,7 @@ TEST(CrashRecoveryTest, AcceptorStateSurvivesCrash) {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), 3, {});
     net.allow_all_links();
-    DirectTransport t1(net, 1);
+    PortTransport t1(net.node(1), 3);
     PaxosConfig pc;
     pc.n = 3;
     pc.id = 1;

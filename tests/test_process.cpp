@@ -1,5 +1,5 @@
 // Unit tests for PaxosProcess message dispatch, plus small end-to-end Paxos
-// deployments over a fully connected DirectTransport network: normal
+// deployments over a fully connected point-to-point PortTransport network: normal
 // operation, concurrent coordinators (safety), crash/recovery, gap repair.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include "net/network.hpp"
 #include "paxos/process.hpp"
 #include "test_util.hpp"
-#include "transport/direct_transport.hpp"
+#include "transport/port_transport.hpp"
 
 namespace gossipc {
 namespace {
@@ -139,12 +139,12 @@ TEST(ProcessDispatchTest, RejectsBadConfig) {
     EXPECT_THROW(PaxosProcess(pc, t), std::invalid_argument);
 }
 
-// --- end-to-end mini-deployments over DirectTransport (full mesh) ---
+// --- end-to-end mini-deployments over point-to-point PortTransport (full mesh) ---
 
 struct MeshFixture {
     Simulator sim;
     Network net;
-    std::vector<std::unique_ptr<DirectTransport>> transports;
+    std::vector<std::unique_ptr<PortTransport>> transports;
     std::vector<std::unique_ptr<PaxosProcess>> processes;
     // per process: delivered (instance -> value id)
     std::vector<std::map<InstanceId, ValueId>> logs;
@@ -153,7 +153,7 @@ struct MeshFixture {
         : net(sim, LatencyModel::aws(), n, Network::Params{}), logs(static_cast<std::size_t>(n)) {
         net.allow_all_links();
         for (ProcessId id = 0; id < n; ++id) {
-            transports.push_back(std::make_unique<DirectTransport>(net, id));
+            transports.push_back(std::make_unique<PortTransport>(net.node(id), n));
             PaxosConfig pc;
             pc.n = n;
             pc.id = id;

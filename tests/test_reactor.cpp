@@ -13,6 +13,7 @@
 #include <fcntl.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,6 +124,27 @@ TEST(Reactor, PostedTasksRunFifo) {
     });
     EXPECT_TRUE(r.run_until([&] { return order.size() == 4; }, ms(500)));
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Reactor, TaskPostedFromTimerDoesNotWaitOutAPoll) {
+    // A timer that posts work (a protocol timeout run on the CPU) leaves a
+    // pending post behind; the poll before it runs must not block. A chain
+    // of 100 timer -> post hops with no fds registered therefore takes well
+    // under one millisecond per hop.
+    constexpr int kHops = 100;
+    Reactor r;
+    int hops = 0;
+    std::function<void()> hop = [&] {
+        r.schedule_after(SimTime::zero(), [&] {
+            r.post([&] {
+                if (++hops < kHops) hop();
+            });
+        });
+    };
+    hop();
+    const SimTime start = r.now();
+    ASSERT_TRUE(r.run_until([&] { return hops == kHops; }, ms(5000)));
+    EXPECT_LT(r.now() - start, ms(kHops / 2));
 }
 
 TEST(Reactor, StopEndsRun) {

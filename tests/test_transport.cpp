@@ -1,15 +1,20 @@
-// Unit tests: DirectTransport routing (Baseline star) and GossipTransport's
-// broadcast-only mapping.
+// Contract tests of the one protocol transport, PortTransport, on both of
+// its hosts: point-to-point routing (the Baseline star) and the gossip
+// broadcast-only mapping on the simulator's NodePort, and the point-to-point
+// mapping on the runtime's reactor port (RealTransport over a fake channel).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "gossip/gossip_node.hpp"
 #include "net/network.hpp"
 #include "overlay/random_overlay.hpp"
+#include "runtime/real_transport.hpp"
 #include "test_util.hpp"
-#include "transport/direct_transport.hpp"
-#include "transport/gossip_transport.hpp"
+#include "transport/port_transport.hpp"
+#include "wire/codec.hpp"
 
 namespace gossipc {
 namespace {
@@ -20,7 +25,7 @@ TEST(DirectTransportTest, SendRoutesPointToPoint) {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), 3, {});
     net.allow_all_links();
-    DirectTransport t0(net, 0), t1(net, 1), t2(net, 2);
+    PortTransport t0(net.node(0), 3), t1(net.node(1), 3), t2(net.node(2), 3);
     std::vector<ProcessId> got_at;
     for (auto* t : {&t0, &t1, &t2}) {
         t->set_deliver([&got_at, t](const PaxosMessagePtr&, CpuContext&) {
@@ -38,7 +43,7 @@ TEST(DirectTransportTest, BroadcastDeliversLocallyAndRemotely) {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), 3, {});
     net.allow_all_links();
-    DirectTransport t0(net, 0), t1(net, 1), t2(net, 2);
+    PortTransport t0(net.node(0), 3), t1(net.node(1), 3), t2(net.node(2), 3);
     std::multiset<ProcessId> got_at;
     for (auto* t : {&t0, &t1, &t2}) {
         t->set_deliver([&got_at, t](const PaxosMessagePtr&, CpuContext&) {
@@ -55,7 +60,7 @@ TEST(DirectTransportTest, BroadcastDeliversLocallyAndRemotely) {
 TEST(DirectTransportTest, SelfSendIsLocal) {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), 3, {});  // no links at all
-    DirectTransport t0(net, 0);
+    PortTransport t0(net.node(0), 3);
     int got = 0;
     t0.set_deliver([&](const PaxosMessagePtr&, CpuContext&) { ++got; });
     net.node(0).post([&](CpuContext& ctx) {
@@ -69,7 +74,7 @@ TEST(DirectTransportTest, SelfSendIsLocal) {
 TEST(DirectTransportTest, MissingLinkIsLogicError) {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), 3, {});
-    DirectTransport t0(net, 0);
+    PortTransport t0(net.node(0), 3);
     bool threw = false;
     net.node(0).post([&](CpuContext& ctx) {
         try {
@@ -85,7 +90,7 @@ TEST(DirectTransportTest, MissingLinkIsLogicError) {
 TEST(DirectTransportTest, ScheduleRunsOnNodeCpu) {
     Simulator sim;
     Network net(sim, LatencyModel::aws(), 3, {});
-    DirectTransport t0(net, 0);
+    PortTransport t0(net.node(0), 3);
     SimTime fired_at = SimTime::zero();
     t0.schedule(SimTime::millis(5), [&](CpuContext& ctx) { fired_at = ctx.now(); });
     sim.run_until_idle();
@@ -97,7 +102,7 @@ struct GossipTransportFixture {
     Network net;
     std::vector<std::unique_ptr<PassThroughHooks>> hooks;
     std::vector<std::unique_ptr<GossipNode>> gnodes;
-    std::vector<std::unique_ptr<GossipTransport>> transports;
+    std::vector<std::unique_ptr<PortTransport>> transports;
     std::vector<std::vector<PaxosMsgType>> delivered;
 
     explicit GossipTransportFixture(int n, std::uint64_t seed = 3)
@@ -108,7 +113,7 @@ struct GossipTransportFixture {
             hooks.push_back(std::make_unique<PassThroughHooks>());
             gnodes.push_back(std::make_unique<GossipNode>(net.node(id), overlay.neighbors(id),
                                                           GossipNode::Params{}, *hooks.back()));
-            transports.push_back(std::make_unique<GossipTransport>(*gnodes.back()));
+            transports.push_back(std::make_unique<PortTransport>(*gnodes.back()));
             transports.back()->set_deliver(
                 [this, id](const PaxosMessagePtr& m, CpuContext&) {
                     delivered[static_cast<std::size_t>(id)].push_back(m->type());
@@ -153,6 +158,96 @@ TEST(GossipTransportTest, DuplicateBroadcastSuppressedByMessageKey) {
     for (int v = 0; v < 6; ++v) {
         EXPECT_EQ(f.delivered[static_cast<std::size_t>(v)].size(), 1u);
     }
+}
+
+
+/// A channel with no sockets behind it: records every body the transport
+/// hands it and lets the test inject received ones.
+class RecordingChannel final : public runtime::PeerChannel {
+public:
+    struct Sent {
+        ProcessId to;
+        std::vector<std::uint8_t> bytes;
+        bool reliable;
+    };
+
+    ProcessId self() const override { return 0; }
+    int size() const override { return 3; }
+    void set_body_handler(BodyFn fn) override { handler = std::move(fn); }
+    void link(ProcessId) override {}
+    bool peer_up(ProcessId) const override { return true; }
+    bool send_body(ProcessId peer, std::span<const std::uint8_t> bytes,
+                   bool reliable) override {
+        sent.push_back(Sent{peer, {bytes.begin(), bytes.end()}, reliable});
+        return true;
+    }
+
+    BodyFn handler;
+    std::vector<Sent> sent;
+};
+
+struct RuntimeDirectFixture {
+    runtime::Reactor reactor;
+    RecordingChannel chan;
+    PassThroughHooks hooks;
+    runtime::RealTransport transport{reactor, chan, runtime::RealTransport::Params{}, hooks};
+    std::vector<PaxosMsgType> delivered;
+
+    RuntimeDirectFixture() {
+        transport.set_deliver([this](const PaxosMessagePtr& m, CpuContext&) {
+            delivered.push_back(m->type());
+        });
+    }
+};
+
+TEST(DirectTransportTest, RuntimeHostBroadcastSendsOneBodyPerPeer) {
+    RuntimeDirectFixture f;
+    const auto phase2a = std::make_shared<Phase2aMsg>(0, 7, 1, testutil::make_value(1, 1));
+    const auto heartbeat = std::make_shared<HeartbeatMsg>(0, 1);
+    for (const PaxosMessagePtr& msg : {PaxosMessagePtr(phase2a), PaxosMessagePtr(heartbeat)}) {
+        f.chan.sent.clear();
+        CpuContext ctx(SimTime::millis(3));
+        f.transport.broadcast(msg, ctx);
+        ASSERT_EQ(f.chan.sent.size(), 2u);
+        const bool reliable =
+            runtime::reliable_over_datagrams(*msg, runtime::RealTransport::Mode::Direct);
+        for (std::size_t i = 0; i < 2; ++i) {
+            EXPECT_EQ(f.chan.sent[i].to, static_cast<ProcessId>(i + 1));
+            EXPECT_EQ(f.chan.sent[i].reliable, reliable);
+            const wire::DecodedBody body = wire::decode_body(f.chan.sent[i].bytes);
+            ASSERT_TRUE(body.ok());
+            ASSERT_EQ(body.body->kind(), BodyKind::Paxos);
+            EXPECT_EQ(static_cast<const PaxosMessage&>(*body.body).type(), msg->type());
+        }
+    }
+    // Delivered locally once per broadcast.
+    EXPECT_EQ(f.delivered, (std::vector<PaxosMsgType>{PaxosMsgType::Phase2a,
+                                                      PaxosMsgType::Heartbeat}));
+    EXPECT_EQ(f.transport.last_origination(), SimTime::millis(3));
+}
+
+TEST(DirectTransportTest, RuntimeHostSelfSendIsLocal) {
+    RuntimeDirectFixture f;
+    CpuContext first(SimTime::millis(2));
+    f.transport.send(1, std::make_shared<Phase1aMsg>(0, 1, 1), first);
+    ASSERT_EQ(f.chan.sent.size(), 1u);
+    EXPECT_TRUE(f.chan.sent[0].reliable);
+
+    CpuContext later(SimTime::millis(9));
+    f.transport.send(0, std::make_shared<Phase1aMsg>(0, 1, 1), later);
+    EXPECT_EQ(f.chan.sent.size(), 1u);
+    EXPECT_EQ(f.delivered, (std::vector<PaxosMsgType>{PaxosMsgType::Phase1a}));
+    EXPECT_EQ(f.transport.last_origination(), SimTime::millis(2));
+}
+
+TEST(DirectTransportTest, RuntimeHostDeliversReceivedPaxosBody) {
+    RuntimeDirectFixture f;
+    const std::vector<std::uint8_t> bytes =
+        wire::encode_body(Phase2bMsg(2, 7, 1, ValueId{1, 1}, 0xfeedULL));
+    f.chan.handler(2, bytes);
+    EXPECT_EQ(f.delivered, (std::vector<PaxosMsgType>{PaxosMsgType::Phase2b}));
+    EXPECT_EQ(f.transport.counters().decode_errors, 0u);
+    EXPECT_TRUE(f.chan.sent.empty());
 }
 
 }  // namespace
